@@ -5,7 +5,7 @@ use ftspm_core::OptimizeFor;
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, RegionImage};
 use ftspm_harness::{evaluate_workload, profile_workload};
-use ftspm_testkit::{black_box, BenchGroup};
+use ftspm_testkit::{black_box, par, BenchGroup};
 use ftspm_workloads::{Crc32, QSort, Sha1};
 
 /// These bodies run whole simulations; keep the fixed counts small, as
@@ -31,7 +31,13 @@ fn main() {
 
     let image = RegionImage::random(ProtectionScheme::SecDed, 1024, 42);
     g.bench("fault_campaign/secded_100k", || {
-        black_box(run_campaign(&image, MbuDistribution::default(), 100_000, 7))
+        black_box(run_campaign(
+            &image,
+            MbuDistribution::default(),
+            100_000,
+            7,
+            par::thread_count(),
+        ))
     });
     g.bench("fault_campaign/secded_100k_4way", || {
         black_box(ftspm_faults::run_campaign_interleaved(
@@ -40,6 +46,7 @@ fn main() {
             4,
             100_000,
             7,
+            par::thread_count(),
         ))
     });
 

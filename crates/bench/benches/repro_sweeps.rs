@@ -5,7 +5,7 @@
 use ftspm_bench::sweeps;
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, run_campaign_interleaved, run_scrub_study, RegionImage};
-use ftspm_testkit::{black_box, BenchGroup};
+use ftspm_testkit::{black_box, par, BenchGroup};
 
 /// Every body here is a repro-target-scale simulation; single-digit
 /// iteration counts keep the whole group in seconds.
@@ -16,7 +16,7 @@ fn main() {
     let mut g = BenchGroup::new("repro").counts(WARMUP, ITERS);
 
     g.bench("recovery_sweep/3x3_grid", || {
-        black_box(sweeps::recovery_sweep())
+        black_box(sweeps::recovery_sweep_observed(par::thread_count()).cells)
     });
 
     // The worst cell of the repro `scrub` target: one strike per scrub
@@ -29,6 +29,7 @@ fn main() {
             1,
             40_000,
             0xBEEF,
+            par::thread_count(),
         ))
     });
 
@@ -40,6 +41,7 @@ fn main() {
             MbuDistribution::default(),
             1_000_000,
             0xBEEF,
+            par::thread_count(),
         ))
     });
     g.bench("campaign/secded_1m_4way", || {
@@ -49,6 +51,7 @@ fn main() {
             4,
             1_000_000,
             0xBEEF,
+            par::thread_count(),
         ))
     });
 

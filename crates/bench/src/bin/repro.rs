@@ -47,6 +47,7 @@ use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, RegionImage};
 use ftspm_harness::{evaluate_workload, report, RunBuilder, WorkloadEvaluation};
 use ftspm_mem::Clock;
+use ftspm_testkit::par;
 use ftspm_workloads::{evaluation_set, CaseStudy, Workload};
 
 struct Lazy {
@@ -90,7 +91,7 @@ fn run_serve(addr: &str, workers: Option<usize>) -> ! {
     use std::num::NonZeroUsize;
     let workers = workers
         .and_then(NonZeroUsize::new)
-        .unwrap_or_else(ftspm_testkit::par::thread_count);
+        .unwrap_or_else(par::thread_count);
     let server = match Server::bind(
         addr,
         ServeConfig {
@@ -437,7 +438,13 @@ fn main() {
                 println!("Fault-injection validation (1e6 strikes per scheme):");
                 for scheme in ProtectionScheme::ALL {
                     let image = RegionImage::random(scheme, 2048, 0xDEAD);
-                    let r = run_campaign(&image, MbuDistribution::default(), 1_000_000, 0xBEEF);
+                    let r = run_campaign(
+                        &image,
+                        MbuDistribution::default(),
+                        1_000_000,
+                        0xBEEF,
+                        par::thread_count(),
+                    );
                     println!(
                         "  {:<18} SDC {:.4}  DUE {:.4}  DRE {:.4}  SDC+DUE {:.4} (analytic {:.4})",
                         scheme.name(),
@@ -520,6 +527,7 @@ fn main() {
                         per_interval,
                         (40_000 / per_interval).max(10),
                         0xBEEF,
+                        par::thread_count(),
                     );
                     println!(
                         "  {per_interval:>4} strikes/scrub  failure fraction {:.4}  (DUE {} SDC {} corrected {})",
@@ -545,7 +553,7 @@ fn main() {
                     // journaled, so a `kill -9` here resumes by skipping
                     // finished cells — with byte-identical output.
                     let sweep = match sweeps::recovery_sweep_journaled(
-                        ftspm_testkit::par::thread_count(),
+                        par::thread_count(),
                         std::path::Path::new(journal),
                     ) {
                         Ok(sweep) => sweep,
@@ -580,7 +588,7 @@ fn main() {
                         write_or_die(path, "metrics CSV", &sweep.metrics_csv);
                     }
                 } else {
-                    let observed = sweeps::recovery_sweep_observed();
+                    let observed = sweeps::recovery_sweep_observed(par::thread_count());
                     println!("Recovery overhead — strike rate × scrub interval (case study):");
                     for cell in &observed.cells {
                         println!("{}", sweeps::recovery_line(cell));
@@ -601,7 +609,7 @@ fn main() {
             }
             "multicore" => {
                 eprintln!("[repro] sweeping multi-core kernels × core counts under strikes…");
-                let cells = sweeps::multicore_sweep();
+                let cells = sweeps::multicore_sweep(par::thread_count());
                 println!("Multi-core sweep — shared-SPM fault propagation (beyond the paper):");
                 for cell in &cells {
                     println!("{}", sweeps::multicore_line(cell));
@@ -626,6 +634,7 @@ fn main() {
                         ways,
                         1_000_000,
                         0xBEEF,
+                        par::thread_count(),
                     );
                     println!(
                         "  {ways}-way  SDC {:.4}  DUE {:.4}  DRE {:.4}  SDC+DUE {:.4}",

@@ -70,34 +70,17 @@ pub struct ObservedRecovery {
     pub trace: Trace,
 }
 
-/// Runs the strike-rate × scrub-interval recovery grid on
-/// [`par::thread_count`] threads.
-pub fn recovery_sweep() -> Vec<RecoveryCell> {
-    recovery_sweep_threads(par::thread_count())
-}
-
-/// [`recovery_sweep`] with an explicit thread count. Cells are
+/// Runs the strike-rate × scrub-interval recovery grid with
+/// observability on, on `threads` host threads (pass
+/// [`par::thread_count`] for the `FTSPM_THREADS` default). Cells are
 /// independent seeded simulations returned in grid (row-major) order,
 /// so the result — and the CSV rendered from it — is identical at
 /// every thread count.
-pub fn recovery_sweep_threads(threads: NonZeroUsize) -> Vec<RecoveryCell> {
-    recovery_sweep_observed_threads(threads).cells
-}
-
-/// Runs the recovery grid with observability on, at
-/// [`par::thread_count`] threads.
-pub fn recovery_sweep_observed() -> ObservedRecovery {
-    recovery_sweep_observed_threads(par::thread_count())
-}
-
-/// [`recovery_sweep_observed`] with an explicit thread count — the
-/// entry point the observability determinism test drives at 1 and
-/// `nproc` threads.
 ///
 /// # Panics
 ///
 /// Panics if the grid somehow lacks its representative cell.
-pub fn recovery_sweep_observed_threads(threads: NonZeroUsize) -> ObservedRecovery {
+pub fn recovery_sweep_observed(threads: NonZeroUsize) -> ObservedRecovery {
     let (profile, structure, mapping) = recovery_inputs();
     let sharded = par::par_map_threads(threads, recovery_grid(), |(mean, scrub)| {
         run_recovery_cell(mean, scrub, &profile, &structure, &mapping)
@@ -222,16 +205,11 @@ pub fn multicore_grid() -> Vec<(&'static str, usize, StructureKind)> {
     grid
 }
 
-/// Runs the multicore grid on [`par::thread_count`] threads.
-pub fn multicore_sweep() -> Vec<MulticoreCell> {
-    multicore_sweep_threads(par::thread_count())
-}
-
-/// [`multicore_sweep`] with an explicit thread count. Host threads only
+/// Runs the multicore grid on `threads` host threads. Host threads only
 /// shard independent cells — each cell's lockstep schedule is a pure
 /// function of simulated state — so the result is byte-identical at
 /// every thread count.
-pub fn multicore_sweep_threads(threads: NonZeroUsize) -> Vec<MulticoreCell> {
+pub fn multicore_sweep(threads: NonZeroUsize) -> Vec<MulticoreCell> {
     par::par_map_threads(threads, multicore_grid(), |(kernel, cores, kind)| {
         run_multicore_cell(kernel, cores, kind)
     })

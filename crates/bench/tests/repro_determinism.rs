@@ -15,8 +15,8 @@ fn nz(n: usize) -> NonZeroUsize {
 
 #[test]
 fn recovery_csv_and_observability_are_byte_identical_sequential_vs_parallel() {
-    let sequential = sweeps::recovery_sweep_observed_threads(nz(1));
-    let parallel = sweeps::recovery_sweep_observed_threads(nz(4));
+    let sequential = sweeps::recovery_sweep_observed(nz(1));
+    let parallel = sweeps::recovery_sweep_observed(nz(4));
 
     let csv = sweeps::recovery_csv(&sequential.cells);
     assert_eq!(csv, sweeps::recovery_csv(&parallel.cells));
@@ -67,8 +67,8 @@ fn suite_csv_is_byte_identical_sequential_vs_parallel() {
 
 #[test]
 fn multicore_csv_is_byte_identical_sequential_vs_parallel() {
-    let sequential = sweeps::multicore_sweep_threads(nz(1));
-    let parallel = sweeps::multicore_sweep_threads(nz(4));
+    let sequential = sweeps::multicore_sweep(nz(1));
+    let parallel = sweeps::multicore_sweep(nz(4));
 
     let csv = sweeps::multicore_csv(&sequential);
     assert_eq!(csv, sweeps::multicore_csv(&parallel));

@@ -463,6 +463,9 @@ pub fn run_mda_multicore(
         program.len(),
         "sharer_counts/program mismatch"
     );
+    if sharer_counts.iter().all(|&s| s <= 1) {
+        return run_mda(program, profile, structure, thresholds);
+    }
     // Susceptibility is references × lifetime; scaling `references` by
     // the sharer count scales susceptibility by it while leaving the
     // read/write volumes (which drive the perf/energy estimates) alone.

@@ -175,23 +175,14 @@ impl CampaignResult {
 /// Each strike is independent (the word is restored afterwards),
 /// modelling the paper's per-strike AVF question rather than error
 /// accumulation. The campaign is sharded over [`CAMPAIGN_SHARDS`]
-/// derived RNG streams and executed on [`par::thread_count`] threads;
-/// see [`run_campaign_threads`] for the determinism contract.
+/// derived RNG streams and executed on `threads` host threads (pass
+/// [`par::thread_count`] for the `FTSPM_THREADS` default).
+///
+/// The tally is a pure function of `(image, mbu, strikes, seed)`: shard
+/// seeds and per-shard strike budgets are fixed by the shard plan, and
+/// the ordered merge is a sum — so every `threads` value (including 1)
+/// produces bit-identical results.
 pub fn run_campaign(
-    image: &RegionImage,
-    mbu: MbuDistribution,
-    strikes: u64,
-    seed: u64,
-) -> CampaignResult {
-    run_campaign_threads(image, mbu, strikes, seed, par::thread_count())
-}
-
-/// [`run_campaign`] with an explicit thread count. The tally is a pure
-/// function of `(image, mbu, strikes, seed)`: shard seeds and per-shard
-/// strike budgets are fixed by the shard plan, and the ordered merge is
-/// a sum — so every `threads` value (including 1) produces bit-identical
-/// results.
-pub fn run_campaign_threads(
     image: &RegionImage,
     mbu: MbuDistribution,
     strikes: u64,
@@ -286,7 +277,7 @@ mod tests {
 
     fn campaign(scheme: ProtectionScheme) -> CampaignResult {
         let image = RegionImage::random(scheme, 1024, 42);
-        run_campaign(&image, MBU, STRIKES, 7)
+        run_campaign(&image, MBU, STRIKES, 7, par::thread_count())
     }
 
     #[test]
@@ -361,7 +352,7 @@ mod tests {
     #[test]
     fn empty_campaign_rates_are_zero_not_nan() {
         let image = RegionImage::random(ProtectionScheme::SecDed, 64, 5);
-        let r = run_campaign(&image, MBU, 0, 1);
+        let r = run_campaign(&image, MBU, 0, 1, par::thread_count());
         assert_eq!(r.strikes, 0);
         assert_eq!(r.sdc_rate(), 0.0);
         assert_eq!(r.due_rate(), 0.0);
@@ -375,10 +366,10 @@ mod tests {
     #[test]
     fn campaigns_are_deterministic_per_seed() {
         let image = RegionImage::random(ProtectionScheme::SecDed, 256, 1);
-        let a = run_campaign(&image, MBU, 10_000, 99);
-        let b = run_campaign(&image, MBU, 10_000, 99);
+        let a = run_campaign(&image, MBU, 10_000, 99, par::thread_count());
+        let b = run_campaign(&image, MBU, 10_000, 99, par::thread_count());
         assert_eq!(a, b);
-        let c = run_campaign(&image, MBU, 10_000, 100);
+        let c = run_campaign(&image, MBU, 10_000, 100, par::thread_count());
         assert_ne!(a, c);
     }
 
@@ -434,8 +425,8 @@ mod tests {
     #[test]
     fn merge_is_a_field_wise_sum() {
         let image = RegionImage::random(ProtectionScheme::SecDed, 256, 1);
-        let a = run_campaign(&image, MBU, 10_000, 99);
-        let b = run_campaign(&image, MBU, 10_000, 100);
+        let a = run_campaign(&image, MBU, 10_000, 99, par::thread_count());
+        let b = run_campaign(&image, MBU, 10_000, 100, par::thread_count());
         let mut m = a;
         m.merge(&b);
         assert_eq!(m.strikes, a.strikes + b.strikes);

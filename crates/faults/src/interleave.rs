@@ -22,28 +22,13 @@ use crate::strike::StrikeGenerator;
 /// (SDC ≻ DUE ≻ DRE ≻ masked).
 ///
 /// `ways = 1` degenerates to [`crate::run_campaign`]'s single-word model.
-/// Sharding and determinism follow [`crate::run_campaign_threads`]: the
-/// tally is bit-identical at every thread count.
+/// Sharding and determinism follow [`crate::run_campaign`]: the tally is
+/// bit-identical at every `threads` value.
 ///
 /// # Panics
 ///
 /// Panics if `ways` is zero.
 pub fn run_campaign_interleaved(
-    image: &RegionImage,
-    mbu: MbuDistribution,
-    ways: u32,
-    strikes: u64,
-    seed: u64,
-) -> CampaignResult {
-    run_campaign_interleaved_threads(image, mbu, ways, strikes, seed, par::thread_count())
-}
-
-/// [`run_campaign_interleaved`] with an explicit thread count.
-///
-/// # Panics
-///
-/// Panics if `ways` is zero.
-pub fn run_campaign_interleaved_threads(
     image: &RegionImage,
     mbu: MbuDistribution,
     ways: u32,
@@ -175,8 +160,8 @@ mod tests {
     #[test]
     fn one_way_matches_plain_campaign_statistically() {
         let image = RegionImage::random(ProtectionScheme::SecDed, 1024, 42);
-        let a = run_campaign_interleaved(&image, MBU, 1, STRIKES, 7);
-        let b = crate::run_campaign(&image, MBU, STRIKES, 7);
+        let a = run_campaign_interleaved(&image, MBU, 1, STRIKES, 7, par::thread_count());
+        let b = crate::run_campaign(&image, MBU, STRIKES, 7, par::thread_count());
         assert!(
             (a.vulnerability_weight() - b.vulnerability_weight()).abs() < 0.01,
             "{} vs {}",
@@ -193,8 +178,8 @@ mod tests {
         // bit for bit.
         for scheme in ProtectionScheme::ALL {
             let image = RegionImage::random(scheme, 512, 42);
-            let a = run_campaign_interleaved(&image, MBU, 1, 20_000, 7);
-            let b = crate::run_campaign(&image, MBU, 20_000, 7);
+            let a = run_campaign_interleaved(&image, MBU, 1, 20_000, 7, par::thread_count());
+            let b = crate::run_campaign(&image, MBU, 20_000, 7, par::thread_count());
             assert_eq!(a, b, "{scheme:?}");
         }
     }
@@ -204,7 +189,7 @@ mod tests {
         // Clusters are at most 8 bits, so each of 4 interleaved words sees
         // at most 2 flips: SEC-DED detects all of them.
         let image = RegionImage::random(ProtectionScheme::SecDed, 1024, 42);
-        let r = run_campaign_interleaved(&image, MBU, 4, STRIKES, 9);
+        let r = run_campaign_interleaved(&image, MBU, 4, STRIKES, 9, par::thread_count());
         assert_eq!(r.sdc, 0, "no word ever sees 3+ flips");
         assert_eq!(r.miscorrected, 0);
         // Vulnerability collapses to the small P(cluster > 4) tail.
@@ -220,7 +205,7 @@ mod tests {
         let image = RegionImage::random(ProtectionScheme::SecDed, 1024, 42);
         let mut last = f64::INFINITY;
         for ways in [1u32, 2, 4, 8] {
-            let r = run_campaign_interleaved(&image, MBU, ways, STRIKES, 11);
+            let r = run_campaign_interleaved(&image, MBU, ways, STRIKES, 11, par::thread_count());
             assert!(
                 r.vulnerability_weight() <= last + 0.01,
                 "{ways}-way: {} after {last}",
@@ -235,7 +220,7 @@ mod tests {
         // 2-way interleaving sends 2-bit clusters as 1+1 (both detected),
         // but 4-bit clusters as 2+2 (both silent): parity stays weak.
         let image = RegionImage::random(ProtectionScheme::Parity, 1024, 42);
-        let r = run_campaign_interleaved(&image, MBU, 2, STRIKES, 13);
+        let r = run_campaign_interleaved(&image, MBU, 2, STRIKES, 13, par::thread_count());
         assert!(r.sdc > 0, "even-per-word splits escape parity");
         assert!((r.vulnerability_weight() - 1.0).abs() < 1e-12);
     }

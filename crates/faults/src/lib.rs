@@ -24,7 +24,8 @@
 //! event budget shards over a fixed [`CAMPAIGN_SHARDS`] SplitMix64-derived
 //! RNG streams executed by `ftspm_testkit::par`, so the tallies are a
 //! pure function of the arguments — bit-identical at every thread count
-//! (the `FTSPM_THREADS` knob, or the `*_threads` variants).
+//! (every entry point takes its host thread count; pass
+//! `ftspm_testkit::par::thread_count()` for the `FTSPM_THREADS` knob).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +36,8 @@ mod live;
 mod scrub;
 mod strike;
 
-pub use campaign::{
-    run_campaign, run_campaign_threads, CampaignResult, RegionImage, CAMPAIGN_SHARDS,
-};
-pub use interleave::{run_campaign_interleaved, run_campaign_interleaved_threads};
+pub use campaign::{run_campaign, CampaignResult, RegionImage, CAMPAIGN_SHARDS};
+pub use interleave::run_campaign_interleaved;
 pub use live::LiveInjector;
-pub use scrub::{run_scrub_study, run_scrub_study_threads, ScrubResult};
+pub use scrub::{run_scrub_study, ScrubResult};
 pub use strike::{Strike, StrikeGenerator};

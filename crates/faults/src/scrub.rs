@@ -69,37 +69,16 @@ impl ScrubResult {
 /// The interval budget shards over [`crate::CAMPAIGN_SHARDS`] derived
 /// RNG streams, each an independent replica of the live image (valid
 /// because every scrub pass restores the image exactly, so intervals are
-/// independent given their strike stream); see [`run_scrub_study_threads`].
+/// independent given their strike stream), executed on `threads` host
+/// threads. Like the campaigns, the tally is a pure function of the
+/// other arguments: shard seeds and per-shard interval budgets are
+/// fixed, and the ordered merge is a sum — bit-identical at every
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if the image is not SEC-DED protected.
 pub fn run_scrub_study(
-    image: &RegionImage,
-    mbu: MbuDistribution,
-    strikes_per_interval: u64,
-    intervals: u64,
-    seed: u64,
-) -> ScrubResult {
-    run_scrub_study_threads(
-        image,
-        mbu,
-        strikes_per_interval,
-        intervals,
-        seed,
-        par::thread_count(),
-    )
-}
-
-/// [`run_scrub_study`] with an explicit thread count. Like the
-/// campaigns, the tally is a pure function of the arguments: shard
-/// seeds and per-shard interval budgets are fixed, and the ordered
-/// merge is a sum — bit-identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if the image is not SEC-DED protected.
-pub fn run_scrub_study_threads(
     image: &RegionImage,
     mbu: MbuDistribution,
     strikes_per_interval: u64,
@@ -207,7 +186,7 @@ mod tests {
         // One strike per interval: no accumulation; failure fraction ==
         // the per-strike P(>=2 flips) = 0.38 (every strike is found at
         // the next scrub).
-        let r = run_scrub_study(&image(), MBU, 1, 20_000, 7);
+        let r = run_scrub_study(&image(), MBU, 1, 20_000, 7, par::thread_count());
         assert!(
             (r.failure_fraction() - 0.38).abs() < 0.02,
             "fraction {}",
@@ -220,8 +199,8 @@ mod tests {
         // Many strikes per interval on a small image: independent single
         // flips pile into the same words and the failure fraction rises
         // clearly above the per-strike rate.
-        let tight = run_scrub_study(&image(), MBU, 1, 5_000, 9);
-        let lazy = run_scrub_study(&image(), MBU, 400, 50, 9);
+        let tight = run_scrub_study(&image(), MBU, 1, 5_000, 9, par::thread_count());
+        let lazy = run_scrub_study(&image(), MBU, 400, 50, 9, par::thread_count());
         assert!(
             lazy.failure_fraction() > tight.failure_fraction() + 0.05,
             "lazy {} vs tight {}",
@@ -240,6 +219,7 @@ mod tests {
                 per_interval,
                 12_000 / per_interval.max(1),
                 11,
+                par::thread_count(),
             );
             assert!(
                 r.failure_fraction() + 0.03 >= last,
@@ -252,7 +232,7 @@ mod tests {
 
     #[test]
     fn outcome_counts_are_consistent() {
-        let r = run_scrub_study(&image(), MBU, 10, 500, 13);
+        let r = run_scrub_study(&image(), MBU, 10, 500, 13, par::thread_count());
         assert_eq!(r.scrubs, 500);
         assert_eq!(r.strikes, 5_000);
         assert!(r.corrected_words > 0);
@@ -262,11 +242,11 @@ mod tests {
     fn empty_study_failure_fraction_is_zero_not_nan() {
         // No intervals => no strikes, no scrub findings; the fraction must
         // degrade to 0.0, not NaN.
-        let r = run_scrub_study(&image(), MBU, 5, 0, 3);
+        let r = run_scrub_study(&image(), MBU, 5, 0, 3, par::thread_count());
         assert_eq!(r, ScrubResult::default());
         assert_eq!(r.failure_fraction(), 0.0);
         // Scrubs that find nothing (strikes per interval = 0) likewise.
-        let clean = run_scrub_study(&image(), MBU, 0, 10, 3);
+        let clean = run_scrub_study(&image(), MBU, 0, 10, 3, par::thread_count());
         assert_eq!(clean.scrubs, 10);
         assert_eq!(clean.failure_fraction(), 0.0);
     }
@@ -275,6 +255,6 @@ mod tests {
     #[should_panic(expected = "SEC-DED")]
     fn non_secded_images_rejected() {
         let image = RegionImage::random(ProtectionScheme::Parity, 64, 1);
-        let _ = run_scrub_study(&image, MBU, 1, 1, 1);
+        let _ = run_scrub_study(&image, MBU, 1, 1, 1, par::thread_count());
     }
 }

@@ -13,9 +13,10 @@ use std::num::NonZeroUsize;
 
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{
-    run_campaign, run_campaign_interleaved, run_campaign_interleaved_threads, run_campaign_threads,
-    run_scrub_study, run_scrub_study_threads, CampaignResult, RegionImage, ScrubResult,
+    run_campaign, run_campaign_interleaved, run_scrub_study, CampaignResult, RegionImage,
+    ScrubResult,
 };
+use ftspm_testkit::par;
 
 const MBU: MbuDistribution = MbuDistribution::DIXIT_WOOD_40NM;
 
@@ -30,13 +31,16 @@ fn image() -> RegionImage {
 #[test]
 fn campaign_tally_is_identical_across_thread_counts() {
     let image = image();
-    let baseline = run_campaign_threads(&image, MBU, 100_000, 7, nz(1));
+    let baseline = run_campaign(&image, MBU, 100_000, 7, nz(1));
     for threads in [2, 3, 8] {
-        let r = run_campaign_threads(&image, MBU, 100_000, 7, nz(threads));
+        let r = run_campaign(&image, MBU, 100_000, 7, nz(threads));
         assert_eq!(r, baseline, "{threads} threads");
     }
-    // The default entry point (env/core-count threads) agrees too.
-    assert_eq!(run_campaign(&image, MBU, 100_000, 7), baseline);
+    // The `FTSPM_THREADS` default agrees too.
+    assert_eq!(
+        run_campaign(&image, MBU, 100_000, 7, par::thread_count()),
+        baseline
+    );
 }
 
 #[test]
@@ -44,7 +48,7 @@ fn campaign_tally_matches_the_pinned_golden() {
     // Golden tally for (SecDed 1024-word image seed 42, 40 nm MBU,
     // 100 k strikes, seed 7). A diff here means the determinism
     // contract — fixed shards, derived seeds, ordered merge — changed.
-    let r = run_campaign(&image(), MBU, 100_000, 7);
+    let r = run_campaign(&image(), MBU, 100_000, 7, par::thread_count());
     assert_eq!(
         r,
         CampaignResult {
@@ -61,13 +65,13 @@ fn campaign_tally_matches_the_pinned_golden() {
 #[test]
 fn interleaved_tally_is_identical_across_thread_counts() {
     let image = image();
-    let baseline = run_campaign_interleaved_threads(&image, MBU, 4, 100_000, 7, nz(1));
+    let baseline = run_campaign_interleaved(&image, MBU, 4, 100_000, 7, nz(1));
     for threads in [2, 8] {
-        let r = run_campaign_interleaved_threads(&image, MBU, 4, 100_000, 7, nz(threads));
+        let r = run_campaign_interleaved(&image, MBU, 4, 100_000, 7, nz(threads));
         assert_eq!(r, baseline, "{threads} threads");
     }
     assert_eq!(
-        run_campaign_interleaved(&image, MBU, 4, 100_000, 7),
+        run_campaign_interleaved(&image, MBU, 4, 100_000, 7, par::thread_count()),
         baseline
     );
     // Pinned golden: 4-way interleaving leaves only the >4-bit tail.
@@ -87,12 +91,15 @@ fn interleaved_tally_is_identical_across_thread_counts() {
 #[test]
 fn scrub_tally_is_identical_across_thread_counts() {
     let image = image();
-    let baseline = run_scrub_study_threads(&image, MBU, 50, 400, 9, nz(1));
+    let baseline = run_scrub_study(&image, MBU, 50, 400, 9, nz(1));
     for threads in [2, 8] {
-        let r = run_scrub_study_threads(&image, MBU, 50, 400, 9, nz(threads));
+        let r = run_scrub_study(&image, MBU, 50, 400, 9, nz(threads));
         assert_eq!(r, baseline, "{threads} threads");
     }
-    assert_eq!(run_scrub_study(&image, MBU, 50, 400, 9), baseline);
+    assert_eq!(
+        run_scrub_study(&image, MBU, 50, 400, 9, par::thread_count()),
+        baseline
+    );
     // Pinned golden for the same arguments.
     assert_eq!(
         baseline,
@@ -112,8 +119,8 @@ fn thread_count_does_not_leak_into_empty_or_tiny_budgets() {
     // events) must stay thread-count-invariant too.
     let image = image();
     for strikes in [0u64, 1, 5, 15] {
-        let a = run_campaign_threads(&image, MBU, strikes, 3, nz(1));
-        let b = run_campaign_threads(&image, MBU, strikes, 3, nz(8));
+        let a = run_campaign(&image, MBU, strikes, 3, nz(1));
+        let b = run_campaign(&image, MBU, strikes, 3, nz(8));
         assert_eq!(a, b, "{strikes} strikes");
         assert_eq!(a.strikes, strikes);
     }

@@ -5,7 +5,7 @@
 
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, run_campaign_interleaved, RegionImage, Strike, StrikeGenerator};
-use ftspm_testkit::Rng;
+use ftspm_testkit::{par, Rng};
 
 const MBU: MbuDistribution = MbuDistribution::DIXIT_WOOD_40NM;
 
@@ -40,14 +40,14 @@ fn same_seed_campaigns_produce_identical_tallies() {
         ProtectionScheme::None,
     ] {
         let image = RegionImage::random(scheme, 512, 11);
-        let a = run_campaign(&image, MBU, 50_000, 0xF00D);
-        let b = run_campaign(&image, MBU, 50_000, 0xF00D);
+        let a = run_campaign(&image, MBU, 50_000, 0xF00D, par::thread_count());
+        let b = run_campaign(&image, MBU, 50_000, 0xF00D, par::thread_count());
         assert_eq!(a, b, "{scheme:?}: tallies must replay exactly");
         // Unprotected memory turns *every* strike into SDC, so its
         // aggregate tally can't tell seeds apart — only schemes with
         // mixed outcomes can show divergence at the tally level.
         if scheme != ProtectionScheme::None {
-            let c = run_campaign(&image, MBU, 50_000, 0xF00E);
+            let c = run_campaign(&image, MBU, 50_000, 0xF00E, par::thread_count());
             assert_ne!(a, c, "{scheme:?}: a fresh seed is a fresh campaign");
         }
     }
@@ -56,8 +56,8 @@ fn same_seed_campaigns_produce_identical_tallies() {
 #[test]
 fn interleaved_campaigns_replay_too() {
     let image = RegionImage::random(ProtectionScheme::SecDed, 512, 11);
-    let a = run_campaign_interleaved(&image, MBU, 4, 50_000, 0xF00D);
-    let b = run_campaign_interleaved(&image, MBU, 4, 50_000, 0xF00D);
+    let a = run_campaign_interleaved(&image, MBU, 4, 50_000, 0xF00D, par::thread_count());
+    let b = run_campaign_interleaved(&image, MBU, 4, 50_000, 0xF00D, par::thread_count());
     assert_eq!(a, b);
 }
 

@@ -1,8 +1,5 @@
 //! [`RunBuilder`]: the chainable front door to the harness.
 //!
-//! One builder replaces the old quartet of free functions
-//! (`run_on_structure`, `run_on_structure_faulted`, `evaluate_suite`,
-//! `evaluate_suite_threads`), which survive as deprecated wrappers.
 //! Everything the pipeline needs — structure, mapping, profile, fault
 //! options, thread count, observability sink — is an optional chainable
 //! setter with a sensible default; missing inputs are computed
@@ -23,7 +20,7 @@
 
 use std::num::NonZeroUsize;
 
-use ftspm_core::mda::{run_baseline, run_mda, run_mda_multicore, MdaOutput};
+use ftspm_core::mda::MdaOutput;
 use ftspm_core::{OptimizeFor, SpmStructure};
 use ftspm_obs::Recorder;
 use ftspm_profile::Profile;
@@ -33,64 +30,19 @@ use ftspm_workloads::Workload;
 
 use crate::metrics::{MultiRunMetrics, RunMetrics, StructureKind, WorkloadEvaluation};
 use crate::pipeline::{
-    evaluate_workload_observed, try_profile_multi_workload, try_profile_workload, try_run_inner,
-    try_run_multi_inner, try_run_single_via_multi, LiveFaultOptions, RunError,
+    compute_mapping, evaluate_workload_observed, mapped_run, try_profile_multi_workload,
+    LiveFaultOptions, RunError, SingleCore,
 };
 
 /// The builder's workload slot: absent, borrowed from the caller, or
 /// owned outright (the deserialized-job-spec path used by
 /// `ftspm-serve`, where no longer-lived owner exists to borrow from).
+/// A single-core workload sits here wrapped as a 1-core
+/// [`MultiWorkload`].
 enum WorkloadSlot<'a> {
     None,
-    Borrowed(&'a mut dyn Workload),
-    Owned(Box<dyn Workload>),
-}
-
-/// The multi-core counterpart of [`WorkloadSlot`].
-enum MultiWorkloadSlot<'a> {
-    None,
     Borrowed(&'a mut dyn MultiWorkload),
-    Owned(Box<dyn MultiWorkload>),
-}
-
-/// Routes a single-core run through the plain machine or (for the
-/// differential oracle) a 1-core `MultiMachine` — the two must be
-/// byte-identical, which `harness/tests/multicore_differential.rs` pins.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    via_multi: bool,
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    if via_multi {
-        try_run_single_via_multi(
-            workload,
-            structure,
-            kind,
-            mapping,
-            profile,
-            faults,
-            deadline_cycles,
-            observer,
-        )
-    } else {
-        try_run_inner(
-            workload,
-            structure,
-            kind,
-            mapping,
-            profile,
-            faults,
-            deadline_cycles,
-            observer,
-        )
-    }
+    Owned(Box<dyn MultiWorkload + 'a>),
 }
 
 /// Chainable configuration for a harness run.
@@ -108,7 +60,6 @@ fn dispatch(
 /// near-zero-cost disabled path the `injected_run` bench pins.
 pub struct RunBuilder<'a> {
     workload: WorkloadSlot<'a>,
-    workload_multi: MultiWorkloadSlot<'a>,
     cores: Option<usize>,
     structure: Option<(SpmStructure, StructureKind)>,
     mapping: Option<MdaOutput>,
@@ -134,7 +85,6 @@ impl<'a> RunBuilder<'a> {
     pub fn new() -> Self {
         Self {
             workload: WorkloadSlot::None,
-            workload_multi: MultiWorkloadSlot::None,
             cores: None,
             structure: None,
             mapping: None,
@@ -149,10 +99,10 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// The workload to run ([`run`](Self::run) only; suites take their
-    /// workloads as a terminal argument).
+    /// workloads as a terminal argument). It runs as a 1-core workload.
     #[must_use]
     pub fn workload(mut self, workload: &'a mut dyn Workload) -> Self {
-        self.workload = WorkloadSlot::Borrowed(workload);
+        self.workload = WorkloadSlot::Owned(Box::new(SingleCore::new(workload)));
         self
     }
 
@@ -162,15 +112,15 @@ impl<'a> RunBuilder<'a> {
     /// no other owner to outlive the builder.
     #[must_use]
     pub fn workload_boxed(mut self, workload: Box<dyn Workload>) -> Self {
-        self.workload = WorkloadSlot::Owned(workload);
+        self.workload = WorkloadSlot::Owned(Box::new(SingleCore::new(workload)));
         self
     }
 
-    /// An N-core workload for [`run_multi`](Self::run_multi); its core
-    /// count fixes the machine's.
+    /// An N-core workload; its core count fixes the machine's. It
+    /// replaces any [`workload`](Self::workload) attached before.
     #[must_use]
     pub fn workload_multi(mut self, workload: &'a mut dyn MultiWorkload) -> Self {
-        self.workload_multi = MultiWorkloadSlot::Borrowed(workload);
+        self.workload = WorkloadSlot::Borrowed(workload);
         self
     }
 
@@ -178,19 +128,13 @@ impl<'a> RunBuilder<'a> {
     /// takes ownership (the deserialized-job-spec path).
     #[must_use]
     pub fn workload_multi_boxed(mut self, workload: Box<dyn MultiWorkload>) -> Self {
-        self.workload_multi = MultiWorkloadSlot::Owned(workload);
+        self.workload = WorkloadSlot::Owned(workload);
         self
     }
 
-    /// Routes the run through an N-core [`ftspm_sim::MultiMachine`].
-    ///
-    /// With a regular [`workload`](Self::workload) only `cores == 1` is
-    /// meaningful (a single-core kernel cannot be sharded), and
-    /// [`run`](Self::run) executes it through a 1-core `MultiMachine` —
-    /// the differential oracle that pins the multi-core machinery as
-    /// byte-inert. With a [`workload_multi`](Self::workload_multi) the
-    /// value must match the workload's own core count (which is fixed
-    /// at construction).
+    /// Asserts the run's core count: the value must match the attached
+    /// workload's own core count, which is fixed at construction (1 for
+    /// a [`workload`](Self::workload)).
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
         self.cores = Some(cores);
@@ -316,7 +260,9 @@ impl<'a> RunBuilder<'a> {
 
     /// [`run`](Self::run), but deadline exhaustion is an `Err` instead
     /// of a panic — the entry point the serving layer uses so a
-    /// cancelled job becomes a typed 504 body, not a dead worker.
+    /// cancelled job becomes a typed 504 body, not a dead worker. This
+    /// is [`try_run_multi`](Self::try_run_multi) projected to
+    /// [`MultiRunMetrics::base`].
     ///
     /// # Errors
     ///
@@ -326,117 +272,37 @@ impl<'a> RunBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if no workload was attached, or on simulator errors
-    /// (workloads and MDA mappings are trusted fixtures).
+    /// As [`try_run_multi`](Self::try_run_multi).
     pub fn try_run(self) -> Result<RunMetrics, RunError> {
-        let mut slot = self.workload;
-        let workload: &mut dyn Workload = match &mut slot {
-            WorkloadSlot::None => panic!("RunBuilder::run requires .workload(..)"),
-            WorkloadSlot::Borrowed(w) => *w,
-            WorkloadSlot::Owned(b) => b.as_mut(),
-        };
-        let via_multi = match self.cores {
-            None => false,
-            Some(1) => true,
-            Some(n) => panic!(
-                "RunBuilder::try_run with .cores({n}): a single-core workload cannot shard; \
-                 attach .workload_multi(..) and call try_run_multi()"
-            ),
-        };
-        let (structure, kind) = self
-            .structure
-            .unwrap_or_else(|| (SpmStructure::ftspm(), StructureKind::Ftspm));
-
-        let profile = match self.profile {
-            Some(p) => p,
-            None => try_profile_workload(workload, self.deadline_cycles)?,
-        };
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => {
-                let program = workload.program().clone();
-                match kind {
-                    StructureKind::Ftspm => {
-                        run_mda(&program, &profile, &structure, &self.optimize.thresholds())
-                    }
-                    _ => run_baseline(&program, &profile, &structure),
-                }
-            }
-        };
-
-        match (self.recorder, self.observer) {
-            (Some(recorder), _) => {
-                recorder.phase("profile", profile.total_cycles);
-                recorder.phase("mda", 1);
-                // The run span's length is only known afterwards: align
-                // events now, append the span once cycles are in.
-                recorder.align_to_phases();
-                let metrics = dispatch(
-                    via_multi,
-                    workload,
-                    &structure,
-                    kind,
-                    mapping,
-                    &profile,
-                    self.faults.as_ref(),
-                    self.deadline_cycles,
-                    recorder,
-                )?;
-                recorder.phase("run", metrics.cycles);
-                if let Some(stats) = &metrics.recovery {
-                    recorder.record_fault_stats(stats);
-                }
-                recorder.phase("report", 1);
-                Ok(metrics)
-            }
-            (None, Some(observer)) => dispatch(
-                via_multi,
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                observer,
-            ),
-            (None, None) => dispatch(
-                via_multi,
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                &mut NullObserver,
-            ),
-        }
+        self.try_run_multi().map(|m| m.base)
     }
 
-    /// Runs the configured N-core workload
-    /// ([`workload_multi`](Self::workload_multi)) on the configured
-    /// structure in deterministic lockstep and returns its metrics plus
-    /// the coherence-side measurements.
+    /// Runs the configured workload in deterministic lockstep and
+    /// returns its metrics plus the coherence-side measurements.
     ///
     /// # Panics
     ///
-    /// As [`run`](Self::run), for the multi-core path — use
-    /// [`try_run_multi`](Self::try_run_multi) to handle deadline
-    /// cancellation as a value.
+    /// As [`run`](Self::run) — use [`try_run_multi`](Self::try_run_multi)
+    /// to handle deadline cancellation as a value.
     pub fn run_multi(self) -> MultiRunMetrics {
         self.try_run_multi()
-            .unwrap_or_else(|e| panic!("multi-core run failed: {e}"))
+            .unwrap_or_else(|e| panic!("run failed: {e}"))
     }
 
     /// [`run_multi`](Self::run_multi), with deadline exhaustion as an
     /// `Err`.
     ///
-    /// Missing inputs are computed as in [`try_run`](Self::try_run),
-    /// with one multi-core twist: the profiling pass also measures
-    /// per-block *sharer counts*, and a computed FTSPM mapping uses
-    /// [`run_mda_multicore`] so blocks shared across cores weigh their
-    /// cross-core fault exposure in the eviction and ECC/parity splits.
+    /// The profiling pass also measures per-block *sharer counts*, and a
+    /// computed FTSPM mapping uses
+    /// [`run_mda_multicore`](ftspm_core::mda::run_mda_multicore) so
+    /// blocks shared across cores weigh their cross-core fault exposure
+    /// in the eviction and ECC/parity splits. A 1-core run has no
+    /// sharers, which makes that plain MDA; so does a supplied
+    /// [`profile`](Self::profile), which carries no sharer counts.
+    ///
+    /// With a recorder attached, the run's fault stats land as
+    /// `faults.*` counters and, at 2 or more cores, its coherence
+    /// counters as `coh.*` rows.
     ///
     /// # Errors
     ///
@@ -444,17 +310,15 @@ impl<'a> RunBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if no multi-core workload was attached, if
-    /// [`cores`](Self::cores) disagrees with the workload's own core
-    /// count, or on simulator errors.
+    /// Panics if no workload was attached, if [`cores`](Self::cores)
+    /// disagrees with the workload's own core count, or on simulator
+    /// errors.
     pub fn try_run_multi(self) -> Result<MultiRunMetrics, RunError> {
-        let mut slot = self.workload_multi;
+        let mut slot = self.workload;
         let workload: &mut dyn MultiWorkload = match &mut slot {
-            MultiWorkloadSlot::None => {
-                panic!("RunBuilder::run_multi requires .workload_multi(..)")
-            }
-            MultiWorkloadSlot::Borrowed(w) => *w,
-            MultiWorkloadSlot::Owned(b) => b.as_mut(),
+            WorkloadSlot::None => panic!("RunBuilder::run requires .workload(..)"),
+            WorkloadSlot::Borrowed(w) => *w,
+            WorkloadSlot::Owned(b) => b.as_mut(),
         };
         if let Some(cores) = self.cores {
             assert_eq!(
@@ -468,76 +332,55 @@ impl<'a> RunBuilder<'a> {
             .unwrap_or_else(|| (SpmStructure::ftspm(), StructureKind::Ftspm));
 
         let (profile, sharers) = match self.profile {
-            Some(p) => (p, None),
-            None => {
-                let (p, s) = try_profile_multi_workload(workload, self.deadline_cycles)?;
-                (p, Some(s))
-            }
+            Some(p) => (p, vec![0; workload.program().len()]),
+            None => try_profile_multi_workload(workload, self.deadline_cycles)?,
         };
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => {
-                let program = workload.program().clone();
-                match (kind, sharers) {
-                    (StructureKind::Ftspm, Some(sharers)) => run_mda_multicore(
-                        &program,
-                        &profile,
-                        &structure,
-                        &self.optimize.thresholds(),
-                        &sharers,
-                    ),
-                    (StructureKind::Ftspm, None) => {
-                        run_mda(&program, &profile, &structure, &self.optimize.thresholds())
-                    }
-                    _ => run_baseline(&program, &profile, &structure),
-                }
-            }
-        };
+        let mapping = self.mapping.unwrap_or_else(|| {
+            compute_mapping(
+                workload.program(),
+                &profile,
+                &sharers,
+                &structure,
+                kind,
+                self.optimize,
+            )
+        });
 
-        match (self.recorder, self.observer) {
-            (Some(recorder), _) => {
-                recorder.phase("profile", profile.total_cycles);
-                recorder.phase("mda", 1);
-                recorder.align_to_phases();
-                let metrics = try_run_multi_inner(
-                    workload,
-                    &structure,
-                    kind,
-                    mapping,
-                    &profile,
-                    self.faults.as_ref(),
-                    self.deadline_cycles,
-                    recorder,
-                )?;
-                recorder.phase("run", metrics.base.cycles);
-                if let Some(stats) = &metrics.base.recovery {
-                    recorder.record_fault_stats(stats);
-                }
-                recorder.record_coherence(&metrics.coherence, &metrics.per_core);
-                recorder.phase("report", 1);
-                Ok(metrics)
-            }
-            (None, Some(observer)) => try_run_multi_inner(
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                observer,
-            ),
-            (None, None) => try_run_multi_inner(
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                &mut NullObserver,
-            ),
+        let mut recorder = self.recorder;
+        if let Some(recorder) = recorder.as_deref_mut() {
+            recorder.phase("profile", profile.total_cycles);
+            recorder.phase("mda", 1);
+            // The run span's length is only known afterwards: align
+            // events now, append the span once cycles are in.
+            recorder.align_to_phases();
         }
+        let mut null = NullObserver;
+        let observer: &mut dyn Observer = match (recorder.as_deref_mut(), self.observer) {
+            (Some(recorder), _) => recorder,
+            (None, Some(observer)) => observer,
+            (None, None) => &mut null,
+        };
+        let metrics = mapped_run(
+            workload,
+            &structure,
+            kind,
+            mapping,
+            &profile,
+            self.faults.as_ref(),
+            self.deadline_cycles,
+            observer,
+        )?;
+        if let Some(recorder) = recorder {
+            recorder.phase("run", metrics.base.cycles);
+            if let Some(stats) = &metrics.base.recovery {
+                recorder.record_fault_stats(stats);
+            }
+            if metrics.cores >= 2 {
+                recorder.record_coherence(&metrics.coherence, &metrics.per_core);
+            }
+            recorder.phase("report", 1);
+        }
+        Ok(metrics)
     }
 
     /// Evaluates every workload on FTSPM and both baselines, one

@@ -17,6 +17,11 @@
 //! baselines). [`evaluate_workload`] performs the three-structure
 //! evaluation for a single workload. The `report` module renders the
 //! paper's tables and figures from the results.
+//!
+//! There is one run path. Every run is a multi-core workload on a
+//! `MultiMachine` in lockstep; a single-core workload is a 1-core one,
+//! and a 1-core `MultiMachine` attaches no coherence hub, so it runs
+//! exactly the plain `Machine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,10 +35,6 @@ pub mod report;
 
 pub use builder::RunBuilder;
 pub use metrics::{MultiRunMetrics, RegionTraffic, RunMetrics, StructureKind, WorkloadEvaluation};
-#[allow(deprecated)]
-pub use pipeline::{
-    evaluate_suite, evaluate_suite_threads, run_on_structure, run_on_structure_faulted,
-};
 pub use pipeline::{
     evaluate_workload, profile_workload, profiling_structure, try_profile_multi_workload,
     try_profile_workload, FaultOptionsError, LiveFaultOptions, LiveFaultOptionsBuilder, RunError,

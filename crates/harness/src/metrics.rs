@@ -92,8 +92,9 @@ impl RunMetrics {
     }
 }
 
-/// [`RunMetrics`] plus the sharing-side measurements only an N-core run
-/// produces.
+/// [`RunMetrics`] plus the sharing-side measurements of an N-core run.
+/// Every run produces one; [`crate::RunBuilder::try_run`] keeps only
+/// [`MultiRunMetrics::base`].
 #[derive(Debug, Clone)]
 pub struct MultiRunMetrics {
     /// The single-machine metrics of the shared backend (cycles, energy,
@@ -102,13 +103,15 @@ pub struct MultiRunMetrics {
     /// Core count of the run.
     pub cores: usize,
     /// Bus-level coherence counters (invalidations, dirty flushes,
-    /// shared-block fault propagation).
+    /// shared-block fault propagation); all zero at one core, which
+    /// runs without a coherence hub.
     pub coherence: ftspm_sim::CoherenceStats,
-    /// Per-core fault observation views, indexed by core.
+    /// Per-core fault observation views, indexed by core (empty at one
+    /// core).
     pub per_core: Vec<ftspm_sim::CoreFaultView>,
     /// Per-block sharer counts (how many cores touched each block),
     /// in block-id order — the input [`ftspm_core::mda::run_mda_multicore`]
-    /// weights by.
+    /// weights by. All zero at one core.
     pub sharer_counts: Vec<u32>,
 }
 

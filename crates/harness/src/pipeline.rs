@@ -1,22 +1,27 @@
-//! The profile → map → re-run pipeline.
+//! The profile → map → re-run pipeline, with one run path.
 //!
-//! The chainable [`crate::RunBuilder`] is the harness front door; the
-//! free functions kept here ([`run_on_structure`], [`evaluate_suite`],
-//! …) are deprecated thin wrappers over it.
+//! Every run is a [`MultiWorkload`] on a [`MultiMachine`] driven by
+//! [`run_lockstep`]. A single-core [`Workload`] enters through the
+//! private 1-core `SingleCore` adapter, and a 1-core `MultiMachine`
+//! attaches no coherence hub, so a single-core run executes exactly the
+//! plain `Machine`. [`try_profile_multi_workload`] is the profiling
+//! pass and `mapped_run` the mapped run; [`crate::RunBuilder`] and
+//! [`evaluate_workload`] both drive those two.
 
 use std::fmt;
 
-use ftspm_core::mda::{run_baseline, run_mda, MdaOutput};
+use std::ops::DerefMut;
+
+use ftspm_core::mda::{run_baseline, run_mda_multicore, MdaOutput};
 use ftspm_core::{reliability, remap, OptimizeFor, RegionRole, SpmStructure};
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_profile::{Profile, Profiler};
-use ftspm_sim::MultiMachine;
 use ftspm_sim::{
-    Cpu, FaultConfig, Machine, MachineConfig, NullObserver, Observer, PlacementMap, Program,
-    SimError,
+    Cpu, Dram, FaultConfig, MachineConfig, MultiMachine, NullObserver, Observer, PlacementMap,
+    Program, SimError,
 };
-use ftspm_workloads::multicore::{run_lockstep, MultiWorkload};
+use ftspm_workloads::multicore::{run_lockstep, MultiWorkload, StepOutcome};
 use ftspm_workloads::Workload;
 
 use crate::metrics::{
@@ -128,33 +133,8 @@ pub fn try_profile_workload(
     workload: &mut dyn Workload,
     deadline_cycles: Option<u64>,
 ) -> Result<Profile, RunError> {
-    let program = workload.program().clone();
-    let structure = profiling_structure();
-    let placement = map_everything(&program, &structure);
-    let mut config = MachineConfig::with_regions(structure.specs());
-    config.deadline_cycles = deadline_cycles;
-    let mut machine = Machine::new(config, program.clone(), placement).expect("profiling machine");
-    workload.init(machine.dram_mut());
-    let mut profiler = Profiler::new(&program);
-    {
-        let mut cpu = Cpu::new(&mut machine, &mut profiler);
-        match workload.run(&mut cpu) {
-            Ok(_) => {}
-            Err(SimError::DeadlineExceeded {
-                cycle,
-                deadline_cycles,
-            }) => {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_cycles,
-                    cycle,
-                })
-            }
-            Err(e) => panic!("profiling run failed: {e}"),
-        }
-    }
-    let cycles = machine.cycle();
-    machine.finish(&mut profiler);
-    Ok(profiler.finish(&program, cycles))
+    try_profile_multi_workload(&mut SingleCore::new(workload), deadline_cycles)
+        .map(|(profile, _)| profile)
 }
 
 /// Options for a live fault-injected run: the runtime counterpart of the
@@ -366,135 +346,79 @@ impl LiveFaultOptions {
     }
 }
 
-/// Runs `workload` on `structure` under `mapping` and collects metrics.
-///
-/// `profile` must be the profiling-pass output for the same workload (it
-/// feeds the analytic vulnerability model).
-///
-/// # Panics
-///
-/// Panics on simulator errors — mappings produced by MDA are valid by
-/// construction.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder: .workload(w).structure(s, kind).mapping(m).profile(p).run()"
-)]
-pub fn run_on_structure(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-) -> RunMetrics {
-    run_inner(
-        workload,
-        structure,
-        kind,
-        mapping,
-        profile,
-        None,
-        &mut NullObserver,
-    )
+/// A single-core [`Workload`] as a 1-core [`MultiWorkload`]: `step(0)`
+/// runs the kernel to completion and reports [`StepOutcome::Done`].
+pub(crate) struct SingleCore<W> {
+    workload: W,
+    checksum: u64,
 }
 
-/// Like [`run_on_structure`], but with live fault injection, recovery,
-/// scrubbing and graceful degradation active during the run. The
-/// resulting [`RunMetrics::recovery`] carries the fault counters.
-///
-/// # Panics
-///
-/// Panics on simulator errors, as [`run_on_structure`] does.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder: .workload(w).structure(s, kind).mapping(m).profile(p).faults(f).run()"
-)]
-pub fn run_on_structure_faulted(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: &LiveFaultOptions,
-) -> RunMetrics {
-    run_inner(
-        workload,
-        structure,
-        kind,
-        mapping,
-        profile,
-        Some(faults),
-        &mut NullObserver,
-    )
-}
-
-pub(crate) fn run_inner(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    observer: &mut dyn Observer,
-) -> RunMetrics {
-    try_run_inner(
-        workload, structure, kind, mapping, profile, faults, None, observer,
-    )
-    .expect("run without a deadline cannot be cancelled")
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_inner(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    let program = workload.program().clone();
-    let placement = mapping
-        .placement(&program, structure)
-        .expect("MDA placements fit by construction");
-    let mut config = MachineConfig::with_regions(structure.specs());
-    if let Some(opts) = faults {
-        config = config.with_faults(opts.config(structure));
-    }
-    config.deadline_cycles = deadline_cycles;
-    let mut machine = Machine::new(config, program, placement).expect("structure machine");
-    workload.init(machine.dram_mut());
-    let checksum = {
-        let mut cpu = Cpu::new(&mut machine, observer);
-        match workload.run(&mut cpu) {
-            Ok(checksum) => checksum,
-            Err(SimError::DeadlineExceeded {
-                cycle,
-                deadline_cycles,
-            }) => {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_cycles,
-                    cycle,
-                })
-            }
-            Err(e) => panic!("mapped run failed: {e}"),
+impl<W> SingleCore<W> {
+    pub(crate) fn new(workload: W) -> Self {
+        Self {
+            workload,
+            checksum: 0,
         }
-    };
-    let stats = machine.finish(observer);
-    Ok(collect_run_metrics(
-        kind,
-        workload.name(),
-        checksum == workload.expected_checksum(),
-        &stats,
-        profile,
-        mapping,
-        structure,
-    ))
+    }
 }
 
-/// Folds a finished machine's statistics into [`RunMetrics`] — shared by
-/// the single-core and multi-core run paths so their artifacts are
-/// field-for-field comparable.
+impl<W> MultiWorkload for SingleCore<W>
+where
+    W: DerefMut + Send,
+    W::Target: Workload,
+{
+    fn name(&self) -> &str {
+        self.workload.name()
+    }
+
+    fn cores(&self) -> usize {
+        1
+    }
+
+    fn program(&self) -> &Program {
+        self.workload.program()
+    }
+
+    fn init(&mut self, dram: &mut Dram) {
+        self.workload.init(dram);
+    }
+
+    fn step(&mut self, _core: usize, cpu: &mut Cpu<'_, '_>) -> Result<StepOutcome, SimError> {
+        self.checksum = self.workload.run(cpu)?;
+        Ok(StepOutcome::Done)
+    }
+
+    fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    fn expected_checksum(&self) -> u64 {
+        self.workload.expected_checksum()
+    }
+}
+
+/// Drives `workload` to completion on `mm` in lockstep. A deadline cut
+/// becomes [`RunError::DeadlineExceeded`]; any other simulator error
+/// panics, because workloads and MDA mappings are trusted fixtures.
+fn drive(
+    mm: &mut MultiMachine,
+    workload: &mut dyn MultiWorkload,
+    observer: &mut dyn Observer,
+    pass: &str,
+) -> Result<u64, RunError> {
+    run_lockstep(mm, workload, observer).map_err(|e| match e {
+        SimError::DeadlineExceeded {
+            cycle,
+            deadline_cycles,
+        } => RunError::DeadlineExceeded {
+            deadline_cycles,
+            cycle,
+        },
+        e => panic!("{pass} failed: {e}"),
+    })
+}
+
+/// Folds a finished machine's statistics into [`RunMetrics`].
 fn collect_run_metrics(
     kind: StructureKind,
     workload_name: &str,
@@ -551,7 +475,8 @@ fn collect_run_metrics(
 }
 
 /// Per-block sharer counts (how many cores touched each block) from a
-/// finished multi-core machine, in block-id order.
+/// finished machine, in block-id order. All zero at one core, which has
+/// no coherence hub to track sharers.
 fn sharer_counts(mm: &MultiMachine, program: &Program) -> Vec<u32> {
     program
         .iter()
@@ -559,11 +484,12 @@ fn sharer_counts(mm: &MultiMachine, program: &Program) -> Vec<u32> {
         .collect()
 }
 
-/// The profiling pass for an N-core workload: the same ideal
-/// placement-neutral structure as [`profile_workload`], executed in
-/// deterministic lockstep on a [`MultiMachine`]. Returns the profile
-/// plus per-block sharer counts — the extra dimension
-/// [`ftspm_core::mda::run_mda_multicore`] weights by.
+/// The profiling pass: the ideal placement-neutral
+/// [`profiling_structure`], executed in deterministic lockstep on a
+/// [`MultiMachine`] with the workload's core count. Returns the profile
+/// plus per-block sharer counts, the extra dimension
+/// [`ftspm_core::mda::run_mda_multicore`] weights by (all zero for a
+/// 1-core workload).
 ///
 /// # Errors
 ///
@@ -585,29 +511,39 @@ pub fn try_profile_multi_workload(
         .expect("profiling machine");
     workload.init(mm.machine_mut().dram_mut());
     let mut profiler = Profiler::new(&program);
-    match run_lockstep(&mut mm, workload, &mut profiler) {
-        Ok(_) => {}
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("multi-core profiling run failed: {e}"),
-    }
+    drive(&mut mm, workload, &mut profiler, "profiling run")?;
     let cycles = mm.machine().cycle();
     let sharers = sharer_counts(&mm, &program);
     mm.finish(&mut profiler);
     Ok((profiler.finish(&program, cycles), sharers))
 }
 
-/// Runs an N-core workload on `structure` under `mapping` in
-/// deterministic lockstep and collects [`MultiRunMetrics`].
+/// The mapping a run computes when none was supplied: sharer-weighted
+/// MDA for [`StructureKind::Ftspm`] (plain MDA whenever every count is
+/// at most 1), the baseline mapper otherwise.
+pub(crate) fn compute_mapping(
+    program: &Program,
+    profile: &Profile,
+    sharers: &[u32],
+    structure: &SpmStructure,
+    kind: StructureKind,
+    optimize: OptimizeFor,
+) -> MdaOutput {
+    match kind {
+        StructureKind::Ftspm => {
+            run_mda_multicore(program, profile, structure, &optimize.thresholds(), sharers)
+        }
+        _ => run_baseline(program, profile, structure),
+    }
+}
+
+/// The mapped run: `workload` on `structure` under `mapping`, in
+/// deterministic lockstep, collected into [`MultiRunMetrics`].
+///
+/// `profile` must be the profiling-pass output for the same workload (it
+/// feeds the analytic vulnerability model).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_multi_inner(
+pub(crate) fn mapped_run(
     workload: &mut dyn MultiWorkload,
     structure: &SpmStructure,
     kind: StructureKind,
@@ -626,27 +562,13 @@ pub(crate) fn try_run_multi_inner(
         config = config.with_faults(opts.config(structure));
     }
     config.deadline_cycles = deadline_cycles;
-    let mut mm = MultiMachine::new(config, program.clone(), placement, workload.cores())
-        .expect("structure machine");
+    let cores = workload.cores();
+    let mut mm =
+        MultiMachine::new(config, program.clone(), placement, cores).expect("structure machine");
     workload.init(mm.machine_mut().dram_mut());
-    let checksum = match run_lockstep(&mut mm, workload, observer) {
-        Ok(checksum) => checksum,
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("mapped multi-core run failed: {e}"),
-    };
+    let checksum = drive(&mut mm, workload, observer, "mapped run")?;
     let sharers = sharer_counts(&mm, &program);
     let stats = mm.finish(observer);
-    let coherence = mm.coherence_stats();
-    let per_core = mm.core_fault_views().to_vec();
-    let cores = workload.cores();
     let base = collect_run_metrics(
         kind,
         workload.name(),
@@ -659,60 +581,10 @@ pub(crate) fn try_run_multi_inner(
     Ok(MultiRunMetrics {
         base,
         cores,
-        coherence,
-        per_core,
+        coherence: mm.coherence_stats(),
+        per_core: mm.core_fault_views().to_vec(),
         sharer_counts: sharers,
     })
-}
-
-/// [`try_run_inner`] routed through a 1-core [`MultiMachine`]: the
-/// differential oracle proving the multi-core machinery is inert at one
-/// core — same workload, same mapping, byte-identical artifacts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_single_via_multi(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    let program = workload.program().clone();
-    let placement = mapping
-        .placement(&program, structure)
-        .expect("MDA placements fit by construction");
-    let mut config = MachineConfig::with_regions(structure.specs());
-    if let Some(opts) = faults {
-        config = config.with_faults(opts.config(structure));
-    }
-    config.deadline_cycles = deadline_cycles;
-    let mut mm = MultiMachine::new(config, program, placement, 1).expect("structure machine");
-    workload.init(mm.machine_mut().dram_mut());
-    let checksum = match mm.with_core(0, observer, |cpu| workload.run(cpu)) {
-        Ok(checksum) => checksum,
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("mapped run failed: {e}"),
-    };
-    let stats = mm.finish(observer);
-    Ok(collect_run_metrics(
-        kind,
-        workload.name(),
-        checksum == workload.expected_checksum(),
-        &stats,
-        profile,
-        mapping,
-        structure,
-    ))
 }
 
 /// Profiles `workload`, maps it with MDA under `optimize`, and measures
@@ -728,83 +600,33 @@ pub(crate) fn evaluate_workload_observed(
     optimize: OptimizeFor,
     observer: &mut dyn Observer,
 ) -> WorkloadEvaluation {
-    let profile = profile_workload(workload);
-    let program = workload.program().clone();
-
-    let ftspm_structure = SpmStructure::ftspm();
-    let ftspm_mapping = run_mda(&program, &profile, &ftspm_structure, &optimize.thresholds());
-    let ftspm = run_inner(
-        workload,
-        &ftspm_structure,
-        StructureKind::Ftspm,
-        ftspm_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
-    let sram_structure = SpmStructure::pure_sram();
-    let sram_mapping = run_baseline(&program, &profile, &sram_structure);
-    let pure_sram = run_inner(
-        workload,
-        &sram_structure,
-        StructureKind::PureSram,
-        sram_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
-    let stt_structure = SpmStructure::pure_stt();
-    let stt_mapping = run_baseline(&program, &profile, &stt_structure);
-    let pure_stt = run_inner(
-        workload,
-        &stt_structure,
-        StructureKind::PureStt,
-        stt_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
+    let mut single = SingleCore::new(workload);
+    let (profile, sharers) =
+        try_profile_multi_workload(&mut single, None).expect("profiling run has no deadline");
+    let program = single.program().clone();
+    let mut run = |structure: SpmStructure, kind: StructureKind| {
+        let mapping = compute_mapping(&program, &profile, &sharers, &structure, kind, optimize);
+        mapped_run(
+            &mut single,
+            &structure,
+            kind,
+            mapping,
+            &profile,
+            None,
+            None,
+            observer,
+        )
+        .expect("run without a deadline cannot be cancelled")
+        .base
+    };
+    let ftspm = run(SpmStructure::ftspm(), StructureKind::Ftspm);
+    let pure_sram = run(SpmStructure::pure_sram(), StructureKind::PureSram);
+    let pure_stt = run(SpmStructure::pure_stt(), StructureKind::PureStt);
     WorkloadEvaluation {
-        workload: workload.name().to_string(),
+        workload: single.name().to_string(),
         profile,
         ftspm,
         pure_sram,
         pure_stt,
     }
-}
-
-/// Evaluates a whole workload set, one workload per executor task
-/// (`ftspm_testkit::par`, honoring the `FTSPM_THREADS` knob).
-///
-/// Each workload's evaluation is an independent deterministic
-/// simulation and results return in input order, so the suite output is
-/// identical at every thread count, including 1.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder::new().run_suite(workloads, optimize)"
-)]
-pub fn evaluate_suite(
-    workloads: Vec<Box<dyn Workload>>,
-    optimize: OptimizeFor,
-) -> Vec<WorkloadEvaluation> {
-    crate::RunBuilder::new().run_suite(workloads, optimize)
-}
-
-/// [`evaluate_suite`] with an explicit thread count — the entry point
-/// the determinism tests use to compare sequential and parallel runs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder::new().threads(n).run_suite(workloads, optimize)"
-)]
-pub fn evaluate_suite_threads(
-    workloads: Vec<Box<dyn Workload>>,
-    optimize: OptimizeFor,
-    threads: std::num::NonZeroUsize,
-) -> Vec<WorkloadEvaluation> {
-    crate::RunBuilder::new()
-        .threads(threads)
-        .run_suite(workloads, optimize)
 }

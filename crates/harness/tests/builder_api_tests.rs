@@ -1,63 +1,7 @@
-//! The `RunBuilder` API contract: the deprecated free functions are
-//! thin wrappers that produce identical results, and
-//! `LiveFaultOptionsBuilder::build` rejects each structurally invalid
-//! field with the right typed error.
+//! The `LiveFaultOptionsBuilder` contract: `build` rejects each
+//! structurally invalid field with the right typed error.
 
-use ftspm_core::mda::run_mda;
-use ftspm_core::{OptimizeFor, SpmStructure};
-use ftspm_harness::{
-    profile_workload, FaultOptionsError, LiveFaultOptions, RunBuilder, StructureKind,
-};
-use ftspm_workloads::{CaseStudy, Workload};
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_on_structure_matches_run_builder() {
-    let structure = SpmStructure::ftspm();
-    let profile = profile_workload(&mut CaseStudy::new());
-    let mapping = run_mda(
-        &CaseStudy::new().program().clone(),
-        &profile,
-        &structure,
-        &OptimizeFor::Reliability.thresholds(),
-    );
-
-    let mut w = CaseStudy::new();
-    let old = ftspm_harness::run_on_structure(
-        &mut w,
-        &structure,
-        StructureKind::Ftspm,
-        mapping.clone(),
-        &profile,
-    );
-
-    let mut w = CaseStudy::new();
-    let new = RunBuilder::new()
-        .workload(&mut w)
-        .structure(&structure, StructureKind::Ftspm)
-        .mapping(mapping)
-        .profile(&profile)
-        .run();
-
-    assert_eq!(old.cycles, new.cycles);
-    assert_eq!(old.instructions, new.instructions);
-    assert_eq!(old.spm_dynamic_pj.to_bits(), new.spm_dynamic_pj.to_bits());
-    assert_eq!(old.vulnerability.to_bits(), new.vulnerability.to_bits());
-    assert!(old.checksum_ok && new.checksum_ok);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_evaluate_suite_matches_run_builder() {
-    let old =
-        ftspm_harness::evaluate_suite(vec![Box::new(CaseStudy::new())], OptimizeFor::Reliability);
-    let new =
-        RunBuilder::new().run_suite(vec![Box::new(CaseStudy::new())], OptimizeFor::Reliability);
-    assert_eq!(
-        ftspm_harness::report::suite_csv(&old),
-        ftspm_harness::report::suite_csv(&new)
-    );
-}
+use ftspm_harness::{FaultOptionsError, LiveFaultOptions};
 
 #[test]
 fn builder_defaults_build_cleanly() {

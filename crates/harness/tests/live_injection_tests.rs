@@ -9,6 +9,7 @@ use ftspm_ecc::MbuDistribution;
 use ftspm_faults::{run_campaign, RegionImage};
 use ftspm_harness::{profile_workload, report, LiveFaultOptions, RunBuilder, StructureKind};
 use ftspm_sim::{Cpu, Machine, MachineConfig, NullObserver};
+use ftspm_testkit::par;
 use ftspm_workloads::{CaseStudy, Workload};
 
 #[test]
@@ -47,7 +48,7 @@ fn live_region_images_obey_the_scheme_model() {
             .map(|c| u32::from_le_bytes(c.try_into().expect("word")))
             .collect();
         let image = RegionImage::new(spec.scheme(), words);
-        let result = run_campaign(&image, mbu, 50_000, 0xFEED);
+        let result = run_campaign(&image, mbu, 50_000, 0xFEED, par::thread_count());
         let analytic = spec.scheme().vulnerability_weight(mbu);
         assert!(
             (result.vulnerability_weight() - analytic).abs() < 0.02,

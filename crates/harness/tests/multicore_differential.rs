@@ -2,14 +2,15 @@
 //!
 //! Two contracts, pinned byte-for-byte:
 //!
-//! 1. **1-core identity.** A [`ftspm_sim::MultiMachine`] with `cores = 1`
-//!    (`RunBuilder::cores(1)`) is *observably byte-identical* to the
-//!    plain `Machine` path for every in-tree kernel × {none, parity,
-//!    SEC-DED} on the struck region × {clean, armed-idle, striking}:
-//!    cycles, checksum verdict, recovery report, obs metrics CSV and
-//!    chrome trace JSON all match. The coherence hub's snoop loops
-//!    iterate zero parked caches at one core — this suite is the proof
-//!    they are inert, not just believed to be.
+//! 1. **1-core identity.** `RunBuilder::run()` — which runs every
+//!    single-core workload as a 1-core workload on a
+//!    [`ftspm_sim::MultiMachine`] in lockstep — is *observably
+//!    byte-identical* to driving the plain [`Machine`] by hand
+//!    (`Machine::new`, `Cpu::new`, `Workload::run`, `finish`) for every
+//!    in-tree kernel × {none, parity, SEC-DED} on the struck region ×
+//!    {clean, armed-idle, striking}: cycles, checksum verdict, recovery
+//!    report, obs metrics CSV and chrome trace JSON all match. The CSV
+//!    comparison also proves a 1-core run records no `coh.*` rows.
 //! 2. **N-core replay.** A multi-core kernel with the same seed replays
 //!    bit-for-bit, and the collected artifacts are identical when the
 //!    battery fans out at 1 host thread and at nproc (`FTSPM_THREADS`
@@ -21,14 +22,14 @@
 
 use std::num::NonZeroUsize;
 
-use ftspm_core::mda::run_mda;
-use ftspm_core::{OptimizeFor, RegionRole, SpmStructure};
+use ftspm_core::mda::{run_mda, MdaOutput};
+use ftspm_core::{remap, OptimizeFor, RegionRole, SpmStructure};
 use ftspm_ecc::ProtectionScheme;
 use ftspm_harness::{profile_workload, LiveFaultOptions, RunBuilder, StructureKind};
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_obs::{chrome_trace_json, Recorder};
 use ftspm_profile::Profile;
-use ftspm_sim::SpmRegionSpec;
+use ftspm_sim::{Cpu, FaultConfig, Machine, MachineConfig, SpmRegionSpec};
 use ftspm_testkit::par;
 use ftspm_workloads::{evaluation_set, multicore_registry, Workload};
 
@@ -128,28 +129,76 @@ struct Artifacts {
     trace: String,
 }
 
-/// One cell, routed through the plain machine (`via_multi = false`) or a
-/// 1-core MultiMachine (`via_multi = true`). Everything else identical.
-fn run_one(
+/// `opts` lowered onto `structure`'s region ids by hand, independently
+/// of the harness's own lowering.
+fn lower(opts: &LiveFaultOptions, structure: &SpmStructure) -> FaultConfig {
+    let mut cfg = FaultConfig::new(opts.seed, opts.mean_cycles_between_strikes);
+    cfg.mbu = opts.mbu;
+    cfg.scrub_interval = opts.scrub_interval;
+    cfg.due_retry_limit = opts.due_retry_limit;
+    cfg.quarantine_due_threshold = opts.quarantine_due_threshold;
+    cfg.line_write_budget = opts.line_write_budget;
+    cfg.targets = opts.restrict_to.as_ref().map(|roles| {
+        roles
+            .iter()
+            .filter_map(|r| structure.region_id(*r))
+            .collect()
+    });
+    cfg.demotion = remap::demotion_map(structure, opts.mbu);
+    cfg
+}
+
+/// The reference side of one cell: the plain `Machine` driven by hand,
+/// with the recorder fed the phase protocol `RunBuilder` follows.
+fn run_reference(
     w: &mut dyn Workload,
     structure: &SpmStructure,
     profile: &Profile,
-    mapping: ftspm_core::mda::MdaOutput,
-    opts: LiveFaultOptions,
-    via_multi: bool,
+    mapping: &MdaOutput,
+    opts: &LiveFaultOptions,
 ) -> Artifacts {
     let mut rec = Recorder::recovery_only(4096);
-    let mut b = RunBuilder::new()
+    let placement = mapping.placement(w.program(), structure).expect("fits");
+    let config = MachineConfig::with_regions(structure.specs()).with_faults(lower(opts, structure));
+    let mut machine = Machine::new(config, w.program().clone(), placement).expect("machine");
+    w.init(machine.dram_mut());
+    rec.phase("profile", profile.total_cycles);
+    rec.phase("mda", 1);
+    rec.align_to_phases();
+    let checksum = w.run(&mut Cpu::new(&mut machine, &mut rec)).expect("runs");
+    let stats = machine.finish(&mut rec);
+    rec.phase("run", stats.cycles);
+    if let Some(faults) = &stats.faults {
+        rec.record_fault_stats(faults);
+    }
+    rec.phase("report", 1);
+    let (registry, trace) = rec.into_parts();
+    Artifacts {
+        cycles: stats.cycles,
+        checksum_ok: checksum == w.expected_checksum(),
+        recovery: format!("{:?}", stats.faults),
+        csv: registry.to_csv(),
+        trace: chrome_trace_json(&trace, None),
+    }
+}
+
+/// The harness side of one cell: `RunBuilder::run()`.
+fn run_harness(
+    w: &mut dyn Workload,
+    structure: &SpmStructure,
+    profile: &Profile,
+    mapping: MdaOutput,
+    opts: LiveFaultOptions,
+) -> Artifacts {
+    let mut rec = Recorder::recovery_only(4096);
+    let metrics = RunBuilder::new()
         .workload(w)
         .structure(structure, StructureKind::Ftspm)
         .mapping(mapping)
         .profile(profile)
         .faults(opts)
-        .recorder(&mut rec);
-    if via_multi {
-        b = b.cores(1);
-    }
-    let metrics = b.run();
+        .recorder(&mut rec)
+        .run();
     let (registry, trace) = rec.into_parts();
     Artifacts {
         cycles: metrics.cycles,
@@ -160,8 +209,8 @@ fn run_one(
     }
 }
 
-/// Runs one matrix cell through both machines and returns
-/// `(label, plain, via_multi)`.
+/// Runs one matrix cell both ways and returns
+/// `(label, reference, harness)`.
 fn diff_cell(
     kernel: usize,
     scheme: ProtectionScheme,
@@ -173,28 +222,15 @@ fn diff_cell(
     let profile = profile_workload(w);
     let structure = structure_with(scheme);
     let mapping = run_mda(
-        &w.program().clone(),
+        w.program(),
         &profile,
         &structure,
         &OptimizeFor::Reliability.thresholds(),
     );
-    let plain = run_one(
-        w,
-        &structure,
-        &profile,
-        mapping.clone(),
-        fault_opts(mode, scheme),
-        false,
-    );
-    let multi = run_one(
-        w,
-        &structure,
-        &profile,
-        mapping,
-        fault_opts(mode, scheme),
-        true,
-    );
-    (label, plain, multi)
+    let opts = fault_opts(mode, scheme);
+    let reference = run_reference(w, &structure, &profile, &mapping, &opts);
+    let harness = run_harness(w, &structure, &profile, mapping, opts);
+    (label, reference, harness)
 }
 
 fn kernel_count() -> usize {
@@ -205,10 +241,10 @@ fn kernel_count() -> usize {
     }
 }
 
-/// The full battery: every kernel × scheme × mode, plain machine vs
-/// 1-core MultiMachine, every artifact byte-identical.
+/// The full battery: every kernel × scheme × mode, hand-driven plain
+/// machine vs the harness run path, every artifact byte-identical.
 #[test]
-fn one_core_multimachine_is_byte_identical_to_machine() {
+fn one_core_run_path_is_byte_identical_to_machine() {
     let mut cells = Vec::new();
     for k in 0..kernel_count() {
         for scheme in SCHEMES {
@@ -219,10 +255,10 @@ fn one_core_multimachine_is_byte_identical_to_machine() {
     }
     let results = par::par_map(cells, |(k, scheme, mode)| diff_cell(k, scheme, mode));
     let mut struck = 0usize;
-    for (label, plain, multi) in &results {
+    for (label, plain, harness) in &results {
         assert_eq!(
-            plain, multi,
-            "{label}: 1-core MultiMachine diverged from the plain Machine"
+            plain, harness,
+            "{label}: the harness run path diverged from the plain Machine"
         );
         if plain.recovery.contains("strikes: 0") || plain.recovery == "None" {
             continue;

@@ -354,7 +354,6 @@ fn decode_faults(v: &Json) -> Result<LiveFaultOptions, JobError> {
             "line_write_budget",
             "restrict_to",
             "mbu",
-            "reference_path",
         ],
         "faults",
     )?;
@@ -386,15 +385,6 @@ fn decode_faults(v: &Json) -> Result<LiveFaultOptions, JobError> {
                 ));
             }
             b = b.restrict_to(roles.iter().map(decode_role).collect::<Result<_, _>>()?);
-        }
-    }
-    match v.get("reference_path") {
-        None | Some(Json::Null) => {}
-        Some(r) => {
-            let reference = r
-                .as_bool()
-                .ok_or_else(|| spec_err("`reference_path` must be a boolean"))?;
-            b = b.reference_path(reference);
         }
     }
     match v.get("mbu") {
@@ -693,82 +683,45 @@ impl JobSpec {
             !self.chaos_panic,
             "chaos_panic: injected worker panic (test hook)"
         );
-        if let Some(cores) = self.cores {
-            return self.run_multi(cores);
-        }
-        let workload = self.workload.build(traces)?;
         let structure = match self.structure {
             StructureKind::Ftspm => SpmStructure::ftspm(),
             StructureKind::PureSram => SpmStructure::pure_sram(),
             StructureKind::PureStt => SpmStructure::pure_stt(),
         };
-        let mut builder = RunBuilder::new()
-            .workload_boxed(workload)
-            .structure(&structure, self.structure)
-            .optimize(self.optimize);
+        let mut builder = match self.cores {
+            None => RunBuilder::new().workload_boxed(self.workload.build(traces)?),
+            Some(cores) => {
+                let WorkloadSource::Named { name, seed } = &self.workload else {
+                    unreachable!("multi-core workloads are named (validated at decode)");
+                };
+                let entry = find_multicore(name).expect("validated at decode");
+                RunBuilder::new()
+                    .workload_multi_boxed(entry.build(cores, *seed))
+                    .cores(cores)
+            }
+        }
+        .structure(&structure, self.structure)
+        .optimize(self.optimize);
         if let Some(faults) = &self.faults {
             builder = builder.faults(faults.clone());
         }
         if let Some(deadline) = self.deadline_cycles {
             builder = builder.deadline_cycles(deadline);
         }
-        if self.metrics {
-            let mut recorder = Recorder::recovery_only(256);
-            let metrics = builder.recorder(&mut recorder).try_run()?;
-            let (registry, _trace) = recorder.into_parts();
-            Ok(JobOutput {
-                body: render_report(&metrics, Some(&registry.to_csv())),
-                registry: Some(registry),
-            })
-        } else {
-            let metrics = builder.try_run()?;
-            Ok(JobOutput {
-                body: render_report(&metrics, None),
-                registry: None,
-            })
-        }
-    }
-
-    /// The `cores >= 2` run path: builds the multicore kernel at the
-    /// job's core count and drives the lockstep pipeline. Same report
-    /// contract, plus a `multicore` section.
-    fn run_multi(&self, cores: usize) -> Result<JobOutput, JobRunError> {
-        let WorkloadSource::Named { name, seed } = &self.workload else {
-            unreachable!("multi-core workloads are named (validated at decode)");
-        };
-        let entry = find_multicore(name).expect("validated at decode");
-        let mut workload = entry.build(cores, *seed);
-        let structure = match self.structure {
-            StructureKind::Ftspm => SpmStructure::ftspm(),
-            StructureKind::PureSram => SpmStructure::pure_sram(),
-            StructureKind::PureStt => SpmStructure::pure_stt(),
-        };
-        let mut builder = RunBuilder::new()
-            .workload_multi(workload.as_mut())
-            .cores(cores)
-            .structure(&structure, self.structure)
-            .optimize(self.optimize);
-        if let Some(faults) = &self.faults {
-            builder = builder.faults(faults.clone());
-        }
-        if let Some(deadline) = self.deadline_cycles {
-            builder = builder.deadline_cycles(deadline);
-        }
-        if self.metrics {
+        let (metrics, registry) = if self.metrics {
             let mut recorder = Recorder::recovery_only(256);
             let metrics = builder.recorder(&mut recorder).try_run_multi()?;
-            let (registry, _trace) = recorder.into_parts();
-            Ok(JobOutput {
-                body: render_multi_report(&metrics, Some(&registry.to_csv())),
-                registry: Some(registry),
-            })
+            (metrics, Some(recorder.into_parts().0))
         } else {
-            let metrics = builder.try_run_multi()?;
-            Ok(JobOutput {
-                body: render_multi_report(&metrics, None),
-                registry: None,
-            })
-        }
+            (builder.try_run_multi()?, None)
+        };
+        let csv = registry.as_ref().map(MetricsRegistry::to_csv);
+        // A multi-core job's report grows a `multicore` section.
+        let body = match self.cores {
+            None => render_report(&metrics.base, csv.as_deref()),
+            Some(_) => render_multi_report(&metrics, csv.as_deref()),
+        };
+        Ok(JobOutput { body, registry })
     }
 }
 
@@ -1062,6 +1015,8 @@ mod tests {
                 "mean_cycles_between_strikes": 100.0, "mbu": [0.5, 0.5, 0.5, 0.5]}}"#,
             r#"{"workload": "crc32", "faults": {"seed": 1,
                 "mean_cycles_between_strikes": 100.0, "restrict_to": []}}"#,
+            r#"{"workload": "crc32", "faults": {"seed": 1,
+                "mean_cycles_between_strikes": 100.0, "reference_path": true}}"#,
             r#"["not", "an", "object"]"#,
         ] {
             assert!(
@@ -1180,7 +1135,7 @@ mod tests {
             let spec = JobSpec::parse(other.as_bytes()).expect("job");
             assert_ne!(implicit.canonical(), spec.canonical(), "collided: {other}");
         }
-        // Fault sub-dials separate too, including reference_path.
+        // Fault sub-dials separate too.
         let base = r#"{"workload": "crc32",
             "faults": {"seed": 1, "mean_cycles_between_strikes": 100.0}}"#;
         let base = JobSpec::parse(base.as_bytes()).expect("job");
@@ -1195,8 +1150,6 @@ mod tests {
                 "mean_cycles_between_strikes": 100.0, "restrict_to": ["data_ecc"]}}"#,
             r#"{"workload": "crc32", "faults": {"seed": 1,
                 "mean_cycles_between_strikes": 100.0, "mbu": [0.8, 0.1, 0.05, 0.05]}}"#,
-            r#"{"workload": "crc32", "faults": {"seed": 1,
-                "mean_cycles_between_strikes": 100.0, "reference_path": true}}"#,
         ] {
             let spec = JobSpec::parse(variant.as_bytes()).expect("job");
             assert_ne!(base.canonical(), spec.canonical(), "collided: {variant}");

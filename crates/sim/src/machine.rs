@@ -405,14 +405,14 @@ impl Machine {
     /// Installs a coherence hub for `cores` hardware threads. Core 0's
     /// caches are the machine's own `icache`/`dcache`; cores 1.. get
     /// fresh parked pairs of the same geometry. Called once by
-    /// [`crate::MultiMachine::new`].
+    /// [`crate::MultiMachine::new`] for 2 or more cores.
     ///
     /// # Panics
     ///
-    /// Panics on 0 cores, more than 64 cores (the sharer mask is a
-    /// `u64`), or a second attach.
+    /// Panics on fewer than 2 cores, more than 64 cores (the sharer mask
+    /// is a `u64`), or a second attach.
     pub(crate) fn attach_coherence(&mut self, cores: usize) {
-        assert!((1..=64).contains(&cores), "1..=64 cores");
+        assert!((2..=64).contains(&cores), "2..=64 cores");
         assert!(self.coh.is_none(), "coherence hub already attached");
         let (icfg, dcfg) = (self.icache.config(), self.dcache.config());
         let parked = (0..cores)

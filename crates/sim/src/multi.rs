@@ -22,10 +22,11 @@
 //!   identical at any `FTSPM_THREADS` — host threads only ever shard
 //!   independent configurations, never one machine.
 //!
-//! A 1-core `MultiMachine` executes the exact same code path as a plain
-//! `Machine` plus provably-inert hub hooks (every snoop loop iterates
-//! zero parked caches), which the `multicore_differential` battery pins
-//! byte-for-byte.
+//! The hub attaches only at 2 or more cores. A 1-core `MultiMachine` is
+//! the plain `Machine` plus a saved [`CpuState`]: no snoop hook, no
+//! sharer mask, no per-core fault view. Its coherence counters read all
+//! zero, [`MultiMachine::core_fault_views`] is empty, and every
+//! [`Machine::sharer_mask`] is 0.
 
 use crate::observer::Observer;
 use crate::{
@@ -71,7 +72,9 @@ impl MultiMachine {
             "cores must be 1..={MAX_CORES}, got {cores}"
         );
         let mut machine = Machine::new(config, program, placement)?;
-        machine.attach_coherence(cores);
+        if cores >= 2 {
+            machine.attach_coherence(cores);
+        }
         let stack_bytes = machine
             .program()
             .stack_block()
@@ -117,7 +120,9 @@ impl MultiMachine {
         f: impl FnOnce(&mut Cpu<'_, '_>) -> R,
     ) -> R {
         assert!(core < self.cores, "core {core} out of range");
-        self.machine.set_active_core(core);
+        if self.cores >= 2 {
+            self.machine.set_active_core(core);
+        }
         let mut cpu = Cpu::new(&mut self.machine, observer);
         cpu.swap_state(&mut self.cpu_states[core]);
         let out = f(&mut cpu);
@@ -141,14 +146,13 @@ impl MultiMachine {
         self.machine.core_caches(core).1.probe_state(addr)
     }
 
-    /// Bus-level coherence counters.
+    /// Bus-level coherence counters (all zero at one core: no hub).
     pub fn coherence_stats(&self) -> CoherenceStats {
-        self.machine
-            .coherence_stats()
-            .expect("MultiMachine always has a hub")
+        self.machine.coherence_stats().unwrap_or_default()
     }
 
-    /// Per-core fault observation views, indexed by core.
+    /// Per-core fault observation views, indexed by core (empty at one
+    /// core: no hub).
     pub fn core_fault_views(&self) -> &[CoreFaultView] {
         self.machine.core_fault_views()
     }

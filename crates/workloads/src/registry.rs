@@ -1,15 +1,10 @@
 //! The kernel registry: every named workload, keyed by its stable wire
 //! name.
 //!
-//! Before this module existed the suite was spread across three ad-hoc
-//! constructors — `mibench_suite()`, `all_workloads()`, and the serve
-//! crate's private name table — each hard-coding the same names and
-//! default seeds. The registry is now the single source of truth: one
+//! The registry is the single source of truth for the suite: one
 //! ordered table of [`KernelEntry`] values carrying the stable name,
-//! the default seed (the exact seeds the old constructors used), suite
-//! membership, and a monomorphic build function. The old free functions
-//! survive as `#[deprecated]` wrappers that delegate here, pinned by a
-//! delegation test.
+//! the default seed, suite membership, and a monomorphic build
+//! function.
 
 use crate::Workload;
 
@@ -88,7 +83,7 @@ macro_rules! entry {
 
 /// The registry table, in canonical order: the case study first, then
 /// the suite in its historical order, then the extras. The order is
-/// stable — `all_workloads()` and the evaluation sweeps depend on it.
+/// stable — [`evaluation_set`] and the evaluation sweeps depend on it.
 const REGISTRY: &[KernelEntry] = &[
     entry!("case_study", seedless, false, crate::CaseStudy),
     entry!("qsort", 0xF75F, true, crate::QSort),
@@ -127,8 +122,7 @@ pub fn kernel_names() -> Vec<&'static str> {
 }
 
 /// Builds the paper's evaluation set at default seeds: the case study
-/// followed by the 13-kernel suite (what `all_workloads()` used to
-/// hard-code).
+/// followed by the 13-kernel suite.
 #[must_use]
 pub fn evaluation_set() -> Vec<Box<dyn Workload>> {
     REGISTRY
@@ -172,25 +166,5 @@ mod tests {
             b.expected_checksum(),
             "override must change the input"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_registry() {
-        let suite = crate::mibench_suite();
-        let from_registry: Vec<_> = registry().iter().filter(|e| e.in_suite()).collect();
-        assert_eq!(suite.len(), from_registry.len());
-        for (w, e) in suite.iter().zip(&from_registry) {
-            assert_eq!(w.name(), e.name());
-            assert_eq!(
-                w.expected_checksum(),
-                e.build(None).expected_checksum(),
-                "wrapper and registry disagree on {}",
-                e.name()
-            );
-        }
-        let all = crate::all_workloads();
-        assert_eq!(all.len(), suite.len() + 1);
-        assert_eq!(all[0].name(), "case_study");
     }
 }

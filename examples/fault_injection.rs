@@ -8,6 +8,7 @@
 
 use ftspm::ecc::{MbuDistribution, ProtectionScheme};
 use ftspm::faults::{run_campaign, RegionImage};
+use ftspm_testkit::par;
 
 fn main() {
     let mbu = MbuDistribution::default();
@@ -19,7 +20,7 @@ fn main() {
     );
     for scheme in ProtectionScheme::ALL {
         let image = RegionImage::random(scheme, 2048, 0xDEAD);
-        let r = run_campaign(&image, mbu, strikes, 0xBEEF);
+        let r = run_campaign(&image, mbu, strikes, 0xBEEF, par::thread_count());
         println!(
             "{:<18} {:>10.4} {:>10.4} {:>10.4} {:>12.4} | {:>10.4} {:>10.4} {:>12.4}",
             scheme.name(),
