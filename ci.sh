@@ -11,6 +11,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
+# The benchmark (loadbench/, a workspace of its own) compiles against the
+# public names of harness, serve, trace and obs: a refactor that breaks
+# it must fail here, not at the next benchmark run.
+cargo check --offline --manifest-path loadbench/Cargo.toml
 cargo test -q --offline --workspace
 cargo fmt --check
 

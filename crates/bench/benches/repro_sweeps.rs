@@ -16,7 +16,7 @@ fn main() {
     let mut g = BenchGroup::new("repro").counts(WARMUP, ITERS);
 
     g.bench("recovery_sweep/3x3_grid", || {
-        black_box(sweeps::recovery_sweep_observed(par::thread_count()).cells)
+        black_box(sweeps::recovery_sweep(par::thread_count(), None).expect("no journal, no I/O"))
     });
 
     // The worst cell of the repro `scrub` target: one strike per scrub

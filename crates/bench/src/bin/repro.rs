@@ -41,6 +41,8 @@
 //! `recovery` target). See EXPERIMENTS.md §Traces for the full loop
 //! against a running server.
 
+use std::path::Path;
+
 use ftspm_bench::{sweeps, write_result};
 use ftspm_core::OptimizeFor;
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
@@ -548,63 +550,39 @@ fn main() {
                     }
                     eprintln!("[repro] {what} written to {path}");
                 };
-                if let Some(journal) = &journal_path {
-                    // Crash-only path: every completed cell is durably
-                    // journaled, so a `kill -9` here resumes by skipping
-                    // finished cells — with byte-identical output.
-                    let sweep = match sweeps::recovery_sweep_journaled(
-                        par::thread_count(),
-                        std::path::Path::new(journal),
-                    ) {
+                // Every cell renders its artifacts and every output is
+                // assembled from them; `--journal` only persists them,
+                // so a `kill -9` here resumes by skipping finished
+                // cells — with byte-identical output.
+                let journal = journal_path.as_deref();
+                let sweep =
+                    match sweeps::recovery_sweep(par::thread_count(), journal.map(Path::new)) {
                         Ok(sweep) => sweep,
                         Err(e) => {
-                            eprintln!("[repro] journal {journal}: {e}");
+                            eprintln!("[repro] journal {}: {e}", journal.unwrap_or_default());
                             std::process::exit(1);
                         }
                     };
-                    if sweep.resumed > 0 {
-                        eprintln!(
-                            "[repro] resumed {} completed cell(s) from {journal}",
-                            sweep.resumed
-                        );
+                if sweep.resumed > 0 {
+                    eprintln!(
+                        "[repro] resumed {} completed cell(s) from {}",
+                        sweep.resumed,
+                        journal.unwrap_or_default()
+                    );
+                }
+                println!("Recovery overhead — strike rate × scrub interval (case study):");
+                for cell in &sweep.cells {
+                    println!("{}", cell.line);
+                    if !cell.report.is_empty() {
+                        println!("\n{}", cell.report);
                     }
-                    println!("Recovery overhead — strike rate × scrub interval (case study):");
-                    for cell in &sweep.cells {
-                        println!("{}", cell.line);
-                        if !cell.report.is_empty() {
-                            println!("\n{}", cell.report);
-                        }
-                    }
-                    emit("recovery.csv", &sweep.csv);
-                    if let Some(path) = &trace_path {
-                        let representative = sweep
-                            .cells
-                            .iter()
-                            .find(|c| !c.trace_json.is_empty())
-                            .expect("grid contains the representative cell");
-                        write_or_die(path, "chrome-trace JSON", &representative.trace_json);
-                    }
-                    if let Some(path) = &metrics_path {
-                        write_or_die(path, "metrics CSV", &sweep.metrics_csv);
-                    }
-                } else {
-                    let observed = sweeps::recovery_sweep_observed(par::thread_count());
-                    println!("Recovery overhead — strike rate × scrub interval (case study):");
-                    for cell in &observed.cells {
-                        println!("{}", sweeps::recovery_line(cell));
-                        if cell.is_representative() {
-                            println!("\n{}", report::recovery(&cell.run));
-                        }
-                    }
-                    emit("recovery.csv", &sweeps::recovery_csv(&observed.cells));
-                    if let Some(path) = &trace_path {
-                        let program = CaseStudy::new().program().clone();
-                        let json = ftspm_obs::chrome_trace_json(&observed.trace, Some(&program));
-                        write_or_die(path, "chrome-trace JSON", &json);
-                    }
-                    if let Some(path) = &metrics_path {
-                        write_or_die(path, "metrics CSV", &observed.metrics.to_csv());
-                    }
+                }
+                emit("recovery.csv", &sweep.csv);
+                if let Some(path) = &trace_path {
+                    write_or_die(path, "chrome-trace JSON", sweep.trace_json());
+                }
+                if let Some(path) = &metrics_path {
+                    write_or_die(path, "metrics CSV", &sweep.metrics_csv);
                 }
             }
             "multicore" => {

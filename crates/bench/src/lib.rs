@@ -6,9 +6,11 @@
 //!   repro -- all`) regenerates every table and figure of the paper's
 //!   evaluation from live simulation, printing human-readable tables and
 //!   writing CSV into `results/`;
-//! * the **Criterion benches** (`cargo bench -p ftspm-bench`) measure
-//!   the reproduction's own moving parts: the MDA mapper, the SEC-DED
-//!   codec, raw simulator throughput, and the end-to-end pipeline.
+//! * the **benches** (`cargo bench -p ftspm-bench`, timed by
+//!   `ftspm_testkit::bench`) measure the reproduction's own moving
+//!   parts: the MDA mapper, the SEC-DED codec, raw and fault-injected
+//!   simulator throughput, the end-to-end pipeline, the repro-scale
+//!   sweeps, the multi-core hub, and the server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

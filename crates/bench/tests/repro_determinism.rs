@@ -13,33 +13,47 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).expect("non-zero")
 }
 
+/// The one recovery sweep path is thread- and journal-invariant: a
+/// sequential in-memory run and a parallel journaled run render the
+/// same artifacts, so `repro all`'s `results/recovery.csv` comes from
+/// the same bytes ci.sh's kill/resume gate journals.
 #[test]
-fn recovery_csv_and_observability_are_byte_identical_sequential_vs_parallel() {
-    let sequential = sweeps::recovery_sweep_observed(nz(1));
-    let parallel = sweeps::recovery_sweep_observed(nz(4));
+fn recovery_sweep_is_byte_identical_across_threads_and_journaling() {
+    let dir = std::env::temp_dir().join(format!("ftspm-repro-determinism-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("recovery.jnl");
+    let _ = std::fs::remove_file(&journal);
 
-    let csv = sweeps::recovery_csv(&sequential.cells);
-    assert_eq!(csv, sweeps::recovery_csv(&parallel.cells));
+    let plain = sweeps::recovery_sweep(nz(1), None).expect("no journal, no I/O");
+    let journaled = sweeps::recovery_sweep(nz(4), Some(&journal)).expect("journaled sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(journaled.resumed, 0, "a fresh journal resumes nothing");
+    assert_eq!(
+        plain.cells, journaled.cells,
+        "lines, rows, reports, registries, traces"
+    );
+    assert_eq!(plain.csv, journaled.csv);
+    assert_eq!(plain.metrics_csv, journaled.metrics_csv);
+    assert_eq!(plain.trace_json(), journaled.trace_json());
     // The grid really ran: header plus one row per (mean × scrub) cell.
     assert_eq!(
-        csv.lines().count(),
+        plain.csv.lines().count(),
         1 + sweeps::RECOVERY_MEANS.len() * sweeps::RECOVERY_SCRUBS.len()
     );
-
-    // The metrics registries merge in grid order, so the rendered CSV
-    // is the same bytes however the cells were sharded — and the
-    // representative cell's trace replays identically too.
-    assert_eq!(sequential.metrics.to_csv(), parallel.metrics.to_csv());
-    assert_eq!(
-        ftspm_obs::chrome_trace_json(&sequential.trace, None),
-        ftspm_obs::chrome_trace_json(&parallel.trace, None),
-    );
+    let counter = |name: &str| -> u64 {
+        plain
+            .metrics_csv
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name},counter,,")))
+            .map_or(0, |v| v.parse().expect("counter value"))
+    };
     assert!(
-        sequential.metrics.counter("faults.strikes") > 0,
+        counter("faults.strikes") > 0,
         "the sweep recorded injector activity"
     );
     assert!(
-        sequential.metrics.counter("recovery.correction") > 0,
+        counter("recovery.correction") > 0,
         "the sweep recorded observer-side recovery events"
     );
 }

@@ -15,8 +15,11 @@
 //! record: len u32 LE | crc32 u32 LE | payload   (repeated)
 //! ```
 //!
-//! The CRC is IEEE CRC-32 over the payload alone. Decoding
-//! discriminates two failure shapes:
+//! The CRC is IEEE CRC-32 over the payload alone. The record framing is
+//! a codec of its own ([`Framer`] / [`deframe`]) that takes the format
+//! header as a parameter: the `FTSPMTRC` trace format frames its chunks
+//! with it under its own magic, so both formats share one set of
+//! torn-tail rules. Decoding discriminates two failure shapes:
 //!
 //! - **Torn tail** ([`Tail::Torn`]): the file ends mid-record (inside
 //!   the length/CRC header or short of `len` payload bytes). This is
@@ -48,13 +51,9 @@ pub const MAGIC: [u8; 8] = *b"FTSPMJNL";
 /// Current framing version.
 pub const VERSION: u32 = 1;
 
-/// IEEE CRC-32 (the zlib/PNG polynomial, reflected), bitwise.
-///
-/// Journal payloads are small (a handful of rendered artifacts per
-/// shard), so the table-free form is plenty and keeps the module
-/// dependency-free.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// IEEE CRC-32 (the zlib/PNG polynomial, reflected), bitwise — the
+/// table-free form keeps the codec dependency-free.
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFF_u32;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -77,12 +76,12 @@ pub enum Tail {
     Torn,
 }
 
-/// A journal byte stream that cannot be decoded at all.
+/// A framed byte stream that cannot be decoded at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
-    /// The stream does not start with [`MAGIC`] + [`VERSION`] (and is
-    /// not a torn prefix of them): it is not a journal of this format.
+    /// The stream does not start with the expected format header (and
+    /// is not a torn prefix of it): it is not a stream of this format.
     BadHeader,
     /// Record `index` is complete (its full payload is present) but its
     /// stored CRC does not match the payload. Atomic writes never
@@ -146,39 +145,68 @@ impl From<DecodeError> for JournalError {
     }
 }
 
-/// Decodes a journal byte stream into its complete records.
+/// Writer half of the CRC frame codec: a caller-supplied format header
+/// (magic + version) followed by one `len | crc32 | payload` record per
+/// [`push`](Self::push). The journal frames under [`MAGIC`]; the
+/// `FTSPMTRC` trace format frames its chunks under its own magic.
+#[derive(Debug)]
+pub struct Framer(Vec<u8>);
+
+impl Framer {
+    /// Starts a stream with `header`, reserving room for `capacity`
+    /// further bytes.
+    #[must_use]
+    pub fn new(header: &[u8], capacity: usize) -> Self {
+        let mut out = Vec::with_capacity(header.len() + capacity);
+        out.extend_from_slice(header);
+        Self(out)
+    }
+
+    /// Appends one framed record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is 4 GiB or larger (the length field is u32).
+    pub fn push(&mut self, payload: &[u8]) {
+        let len = u32::try_from(payload.len()).expect("record < 4 GiB");
+        self.0.extend_from_slice(&len.to_le_bytes());
+        self.0.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.0.extend_from_slice(payload);
+    }
+
+    /// The framed byte stream.
+    #[must_use]
+    pub fn finish(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+/// Reader half of the CRC frame codec: checks `header`, then splits the
+/// rest of `bytes` into its complete records' payloads, borrowed from
+/// `bytes`.
 ///
-/// An empty stream is a valid empty journal. A stream that ends
-/// mid-record yields the complete prefix with [`Tail::Torn`]. This
-/// never panics, whatever the input.
+/// An empty stream is a valid empty stream. A stream that ends
+/// mid-record (or inside the header) yields the complete prefix with
+/// [`Tail::Torn`]. This never panics, whatever the input.
 ///
 /// # Errors
 ///
-/// [`DecodeError::BadHeader`] when the stream is not this format;
-/// [`DecodeError::Corrupt`] when a *complete* record fails its CRC.
-pub fn decode(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, Tail), DecodeError> {
+/// [`DecodeError::BadHeader`] when the stream does not start with
+/// `header` (and is not a torn prefix of it); [`DecodeError::Corrupt`]
+/// when a *complete* record fails its CRC.
+pub fn deframe<'a>(header: &[u8], bytes: &'a [u8]) -> Result<(Vec<&'a [u8]>, Tail), DecodeError> {
     if bytes.is_empty() {
         return Ok((Vec::new(), Tail::Clean));
     }
-    let mut header = [0u8; 12];
-    header[..8].copy_from_slice(&MAGIC);
-    header[8..].copy_from_slice(&VERSION.to_le_bytes());
-    if bytes.len() < header.len() {
+    let Some(mut rest) = bytes.strip_prefix(header) else {
         return if header.starts_with(bytes) {
             Ok((Vec::new(), Tail::Torn))
         } else {
             Err(DecodeError::BadHeader)
         };
-    }
-    if bytes[..header.len()] != header {
-        return Err(DecodeError::BadHeader);
-    }
-    let mut rest = &bytes[header.len()..];
+    };
     let mut records = Vec::new();
-    loop {
-        if rest.is_empty() {
-            return Ok((records, Tail::Clean));
-        }
+    while !rest.is_empty() {
         if rest.len() < 8 {
             // Cut inside the length or CRC field — the named
             // mid-CRC-cut case lands here.
@@ -194,28 +222,41 @@ pub fn decode(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, Tail), DecodeError> {
                 index: records.len(),
             });
         }
-        records.push(payload.to_vec());
+        records.push(payload);
         rest = &rest[8 + len..];
     }
+    Ok((records, Tail::Clean))
+}
+
+/// The journal's format header: [`MAGIC`] then [`VERSION`] (u32 LE).
+fn header() -> [u8; 12] {
+    let mut header = [0u8; 12];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..].copy_from_slice(&VERSION.to_le_bytes());
+    header
+}
+
+/// Decodes a journal byte stream into its complete records — the frame
+/// codec ([`deframe`]) under the journal header.
+///
+/// # Errors
+///
+/// [`DecodeError::BadHeader`] when the stream is not this format;
+/// [`DecodeError::Corrupt`] when a *complete* record fails its CRC.
+pub fn decode(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, Tail), DecodeError> {
+    let (records, tail) = deframe(&header(), bytes)?;
+    Ok((records.into_iter().map(<[u8]>::to_vec).collect(), tail))
 }
 
 /// Encodes `records` into journal bytes (header + framed records).
 #[must_use]
 pub fn encode(records: &[Vec<u8>]) -> Vec<u8> {
     let body: usize = records.iter().map(|r| 8 + r.len()).sum();
-    let mut out = Vec::with_capacity(12 + body);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    let mut framer = Framer::new(&header(), body);
     for record in records {
-        out.extend_from_slice(
-            &u32::try_from(record.len())
-                .expect("record < 4 GiB")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&crc32(record).to_le_bytes());
-        out.extend_from_slice(record);
+        framer.push(record);
     }
-    out
+    framer.finish()
 }
 
 /// Appends completed this process, for the `FTSPM_JOURNAL_CRASH_AFTER`

@@ -6,7 +6,8 @@ use ftspm_core::mda::run_mda;
 use ftspm_core::schedule::{build_schedule, TransferCommand};
 use ftspm_core::{OptimizeFor, SpmStructure};
 use ftspm_harness::profile_workload;
-use ftspm_sim::{Cpu, Machine, MachineConfig, TraceRecorder};
+use ftspm_obs::{Recorder, RecorderConfig, TraceEvent};
+use ftspm_sim::{AccessKind, Cpu, Machine, MachineConfig};
 use ftspm_workloads::{CaseStudy, Sha1, Workload};
 
 fn check_workload(workload: &mut dyn Workload) {
@@ -29,15 +30,26 @@ fn check_workload(workload: &mut dyn Workload) {
     )
     .expect("machine");
     workload.init(machine.dram_mut());
-    let mut trace = TraceRecorder::new(usize::MAX);
+    let mut recorder = Recorder::new(RecorderConfig {
+        trace_capacity: usize::MAX,
+        trace_accesses: false,
+        trace_dma: true,
+    });
     {
-        let mut cpu = Cpu::new(&mut machine, &mut trace);
+        let mut cpu = Cpu::new(&mut machine, &mut recorder);
         workload.run(&mut cpu).expect("runs");
     }
-    machine.finish(&mut trace);
+    machine.finish(&mut recorder);
 
-    // Observed DMA fills, in order.
-    let observed: Vec<_> = trace.dma_fills().iter().map(|e| e.block).collect();
+    // Observed DMA fills (map-in writes), in order.
+    let observed: Vec<_> = recorder
+        .trace()
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::Access(a) if a.dma && a.kind == AccessKind::Write => Some(a.block),
+            _ => None,
+        })
+        .collect();
     let predicted: Vec<_> = schedule
         .commands()
         .iter()

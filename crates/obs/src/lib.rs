@@ -13,8 +13,8 @@
 //!   both, with [`chrome_trace_json`] and
 //!   [`MetricsRegistry::to_csv`] as exporters.
 //!
-//! When observability is off, the harness passes a [`NullSink`] (or
-//! [`ftspm_sim::NullObserver`]) instead: every hook is an empty inlined
+//! When observability is off, the harness passes an
+//! [`ftspm_sim::NullObserver`] instead: every hook is an empty inlined
 //! body, so the simulator's hot loop pays only a devirtualizable call —
 //! the `injected_run` bench pins this under its regression budget.
 //!
@@ -35,16 +35,3 @@ pub use export::chrome_trace_json;
 pub use recorder::{Recorder, RecorderConfig, DMA_BURST_BOUNDS, DUE_ATTEMPT_BOUNDS};
 pub use registry::{merge_metrics_csv, Histogram, MetricsRegistry};
 pub use trace::{PhaseSpan, Trace, TraceEvent};
-
-/// An observer that records nothing — the explicit "observability off"
-/// sink.
-///
-/// Identical in behaviour to [`ftspm_sim::NullObserver`]; it exists so
-/// harness code can name the disabled path from this crate without
-/// importing the simulator. All hooks inherit the trait's empty default
-/// bodies, so a `&mut NullSink` costs one trivially-inlinable virtual
-/// call per event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ftspm_sim::Observer for NullSink {}

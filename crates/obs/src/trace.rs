@@ -67,7 +67,7 @@ impl Trace {
     ///
     /// Panics if `capacity` is 0 — a trace that can hold nothing is a
     /// configuration error, not a request for silence (use
-    /// [`crate::NullSink`] to record nothing).
+    /// [`ftspm_sim::NullObserver`] to record nothing).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         Self {

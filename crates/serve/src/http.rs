@@ -438,12 +438,6 @@ impl Response {
         }
     }
 
-    /// Renders the one-shot (`connection: close`) wire frame — the
-    /// historical shape; connection loops use [`Response::render`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.render(true, false)
-    }
-
     /// Renders the full deterministic wire frame.
     ///
     /// `close` selects the `connection` header; `head_only` omits the
@@ -470,16 +464,6 @@ impl Response {
             frame.extend_from_slice(&self.body);
         }
         frame
-    }
-
-    /// Writes the one-shot (`connection: close`) frame to `stream`,
-    /// best-effort flush.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
-        self.write_framed(stream, true, false)
     }
 
     /// Writes the frame with an explicit connection disposition and
@@ -632,7 +616,7 @@ mod tests {
 
     #[test]
     fn responses_render_a_fixed_frame_with_no_date_header() {
-        let frame = Response::json("{\"ok\":true}".to_string()).to_bytes();
+        let frame = Response::json("{\"ok\":true}".to_string()).render(true, false);
         let text = String::from_utf8(frame).expect("ascii frame");
         assert_eq!(
             text,
@@ -643,7 +627,7 @@ mod tests {
             retry_after: Some(1),
             ..Response::error(503, "queue full")
         };
-        let text = String::from_utf8(busy.to_bytes()).expect("ascii frame");
+        let text = String::from_utf8(busy.render(true, false)).expect("ascii frame");
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(!text.to_ascii_lowercase().contains("date:"));
@@ -668,7 +652,7 @@ mod tests {
 
     #[test]
     fn method_not_allowed_carries_the_allow_header() {
-        let frame = Response::method_not_allowed("GET, HEAD").to_bytes();
+        let frame = Response::method_not_allowed("GET, HEAD").render(true, false);
         let text = String::from_utf8(frame).expect("ascii frame");
         assert!(text.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"));
         assert!(text.contains("allow: GET, HEAD\r\n"), "{text}");

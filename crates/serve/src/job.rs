@@ -59,14 +59,6 @@ pub const MAX_SYNTHETIC_ACCESSES: u32 = 10_000_000;
 /// Cap on synthetic `buffer_words` (per buffer; two are allocated).
 pub const MAX_SYNTHETIC_BUFFER_WORDS: u32 = 1 << 20;
 
-/// The thin parse layer between a job's `workload` JSON and the
-/// [`WorkloadSource`] it names. All validation that the wire format
-/// owns — field strictness, dial ranges, id syntax — happens here; what
-/// a source *means* (registry lookup, trace resolution, building) lives
-/// in [`WorkloadSource`] itself.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadSpec;
-
 /// A fully validated evaluation job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -196,106 +188,103 @@ fn reject_unknown_fields(obj: &Json, known: &[&str], context: &str) -> Result<()
     Ok(())
 }
 
-impl WorkloadSpec {
-    /// Decodes a job's `workload` JSON into the source it names.
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::Spec`] for shape problems (unknown fields, wrong
-    /// types, out-of-range dials, malformed trace ids) and
-    /// [`JobError::Workload`] — the 422 — for an unknown kernel name.
-    pub fn from_json(v: &Json) -> Result<WorkloadSource, JobError> {
-        match v {
-            Json::Str(name) => Self::named(name, None),
-            Json::Obj(_) => {
-                if let Some(synth) = v.get("synthetic") {
-                    reject_unknown_fields(v, &["synthetic"], "workload")?;
-                    return Self::synthetic(synth);
-                }
-                if let Some(id) = v.get("trace") {
-                    reject_unknown_fields(v, &["trace"], "workload")?;
-                    return Ok(WorkloadSource::Trace(Self::trace_id(id, "trace")?));
-                }
-                if let Some(id) = v.get("fit") {
-                    reject_unknown_fields(v, &["fit"], "workload")?;
-                    return Ok(WorkloadSource::Fitted(Self::trace_id(id, "fit")?));
-                }
-                reject_unknown_fields(v, &["name", "seed"], "workload")?;
-                let name = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| spec_err("workload object needs a string `name`"))?;
-                Self::named(name, u64_field(v, "seed")?)
+/// Decodes a job's `workload` JSON into the [`WorkloadSource`] it names.
+/// All validation that the wire format owns — field strictness, dial
+/// ranges, id syntax — happens here; what a source *means* (registry
+/// lookup, trace resolution, building) lives in `WorkloadSource`.
+/// Shape problems are [`JobError::Spec`]; an unknown kernel name is
+/// [`JobError::Workload`], the 422.
+fn decode_workload(v: &Json) -> Result<WorkloadSource, JobError> {
+    match v {
+        Json::Str(name) => decode_named(name, None),
+        Json::Obj(_) => {
+            if let Some(synth) = v.get("synthetic") {
+                reject_unknown_fields(v, &["synthetic"], "workload")?;
+                return decode_synthetic(synth);
             }
-            _ => Err(spec_err(
-                "`workload` must be a kernel name, {\"name\", \"seed\"}, {\"synthetic\": ...}, \
-                 {\"trace\": \"<id>\"}, or {\"fit\": \"<id>\"}",
-            )),
+            if let Some(id) = v.get("trace") {
+                reject_unknown_fields(v, &["trace"], "workload")?;
+                return Ok(WorkloadSource::Trace(decode_trace_id(id, "trace")?));
+            }
+            if let Some(id) = v.get("fit") {
+                reject_unknown_fields(v, &["fit"], "workload")?;
+                return Ok(WorkloadSource::Fitted(decode_trace_id(id, "fit")?));
+            }
+            reject_unknown_fields(v, &["name", "seed"], "workload")?;
+            let name = v
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or_else(|| spec_err("workload object needs a string `name`"))?;
+            decode_named(name, u64_field(v, "seed")?)
         }
+        _ => Err(spec_err(
+            "`workload` must be a kernel name, {\"name\", \"seed\"}, {\"synthetic\": ...}, \
+             {\"trace\": \"<id>\"}, or {\"fit\": \"<id>\"}",
+        )),
     }
+}
 
-    fn named(name: &str, seed: Option<u64>) -> Result<WorkloadSource, JobError> {
-        let source = WorkloadSource::named(name, seed);
-        match source.validate() {
-            Ok(()) => Ok(source),
-            // The seedless-with-seed case is a shape error (the body
-            // asked for a contradiction) and keeps its historical 400.
-            Err(e @ SourceError::SeededSeedless { .. }) => Err(spec_err(e.to_string())),
-            Err(e) => Err(JobError::Workload(e)),
-        }
+fn decode_named(name: &str, seed: Option<u64>) -> Result<WorkloadSource, JobError> {
+    let source = WorkloadSource::named(name, seed);
+    match source.validate() {
+        Ok(()) => Ok(source),
+        // The seedless-with-seed case is a shape error (the body
+        // asked for a contradiction) and keeps its historical 400.
+        Err(e @ SourceError::SeededSeedless { .. }) => Err(spec_err(e.to_string())),
+        Err(e) => Err(JobError::Workload(e)),
     }
+}
 
-    fn trace_id(v: &Json, field: &str) -> Result<TraceId, JobError> {
-        v.as_str()
-            .and_then(TraceId::parse)
-            .ok_or_else(|| spec_err(format!("`{field}` must be a 32-hex-digit trace id")))
-    }
+fn decode_trace_id(v: &Json, field: &str) -> Result<TraceId, JobError> {
+    v.as_str()
+        .and_then(TraceId::parse)
+        .ok_or_else(|| spec_err(format!("`{field}` must be a 32-hex-digit trace id")))
+}
 
-    fn synthetic(v: &Json) -> Result<WorkloadSource, JobError> {
-        if v.as_obj().is_none() {
-            return Err(spec_err("`synthetic` must be an object"));
-        }
-        reject_unknown_fields(
-            v,
-            &[
-                "write_fraction",
-                "buffer_words",
-                "accesses",
-                "run_length",
-                "seed",
-            ],
-            "synthetic",
-        )?;
-        let defaults = SyntheticConfig::default();
-        let write_fraction = f64_field(v, "write_fraction")?.unwrap_or(defaults.write_fraction);
-        if !write_fraction.is_finite() || !(0.0..=1.0).contains(&write_fraction) {
-            return Err(spec_err("`write_fraction` must be in [0, 1]"));
-        }
-        let buffer_words = u32_field(v, "buffer_words")?.unwrap_or(defaults.buffer_words);
-        if buffer_words == 0 || buffer_words > MAX_SYNTHETIC_BUFFER_WORDS {
-            return Err(spec_err(format!(
-                "`buffer_words` must be in 1..={MAX_SYNTHETIC_BUFFER_WORDS}"
-            )));
-        }
-        let accesses = u32_field(v, "accesses")?.unwrap_or(defaults.accesses);
-        if accesses == 0 || accesses > MAX_SYNTHETIC_ACCESSES {
-            return Err(spec_err(format!(
-                "`accesses` must be in 1..={MAX_SYNTHETIC_ACCESSES}"
-            )));
-        }
-        let run_length = u32_field(v, "run_length")?.unwrap_or(defaults.run_length);
-        if run_length == 0 {
-            return Err(spec_err("`run_length` must be >= 1"));
-        }
-        let seed = u64_field(v, "seed")?.unwrap_or(defaults.seed);
-        Ok(WorkloadSource::Synthetic(SyntheticConfig {
-            write_fraction,
-            buffer_words,
-            accesses,
-            run_length,
-            seed,
-        }))
+fn decode_synthetic(v: &Json) -> Result<WorkloadSource, JobError> {
+    if v.as_obj().is_none() {
+        return Err(spec_err("`synthetic` must be an object"));
     }
+    reject_unknown_fields(
+        v,
+        &[
+            "write_fraction",
+            "buffer_words",
+            "accesses",
+            "run_length",
+            "seed",
+        ],
+        "synthetic",
+    )?;
+    let defaults = SyntheticConfig::default();
+    let write_fraction = f64_field(v, "write_fraction")?.unwrap_or(defaults.write_fraction);
+    if !write_fraction.is_finite() || !(0.0..=1.0).contains(&write_fraction) {
+        return Err(spec_err("`write_fraction` must be in [0, 1]"));
+    }
+    let buffer_words = u32_field(v, "buffer_words")?.unwrap_or(defaults.buffer_words);
+    if buffer_words == 0 || buffer_words > MAX_SYNTHETIC_BUFFER_WORDS {
+        return Err(spec_err(format!(
+            "`buffer_words` must be in 1..={MAX_SYNTHETIC_BUFFER_WORDS}"
+        )));
+    }
+    let accesses = u32_field(v, "accesses")?.unwrap_or(defaults.accesses);
+    if accesses == 0 || accesses > MAX_SYNTHETIC_ACCESSES {
+        return Err(spec_err(format!(
+            "`accesses` must be in 1..={MAX_SYNTHETIC_ACCESSES}"
+        )));
+    }
+    let run_length = u32_field(v, "run_length")?.unwrap_or(defaults.run_length);
+    if run_length == 0 {
+        return Err(spec_err("`run_length` must be >= 1"));
+    }
+    let seed = u64_field(v, "seed")?.unwrap_or(defaults.seed);
+    Ok(WorkloadSource::Synthetic(SyntheticConfig {
+        write_fraction,
+        buffer_words,
+        accesses,
+        run_length,
+        seed,
+    }))
 }
 
 fn decode_structure(v: Option<&Json>) -> Result<StructureKind, JobError> {
@@ -459,7 +448,7 @@ impl JobSpec {
             .get("workload")
             .ok_or_else(|| spec_err("`workload` is required"))?;
         let workload = match cores {
-            None => WorkloadSpec::from_json(workload_json)?,
+            None => decode_workload(workload_json)?,
             Some(n) => Self::multicore_workload(workload_json, n)?,
         };
         let structure = decode_structure(v.get("structure"))?;

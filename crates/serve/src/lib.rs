@@ -63,7 +63,6 @@ pub use ftspm_harness::{RunBuilder, RunError};
 pub use ftspm_trace::{TraceId, WorkloadSource};
 pub use job::{
     render_multi_report, render_report, structure_token, JobError, JobOutput, JobRunError, JobSpec,
-    WorkloadSpec,
 };
 pub use jobs::{JobState, JobTable};
 pub use server::{ServeConfig, ServeError, Server, MAX_BATCH_JOBS};

@@ -347,7 +347,7 @@ fn refuse(mut conn: TcpStream, timeout: Duration) {
         retry_after: Some(1),
         ..Response::error(503, "job queue full; retry shortly")
     };
-    let _ = busy.write_to(&mut conn);
+    let _ = busy.write_framed(&mut conn, true, false);
 }
 
 fn worker_loop(shared: &Shared) {

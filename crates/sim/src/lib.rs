@@ -42,7 +42,6 @@ mod placement;
 mod program;
 mod spm;
 mod stats;
-mod trace;
 
 pub use cache::{Cache, CacheConfig, CoherenceState};
 pub use cpu::{Cpu, CpuConfig, CpuOp, CpuState, TappedOp};
@@ -59,4 +58,3 @@ pub use placement::{Placement, PlacementMap, RegionId};
 pub use program::{BlockId, BlockKind, BlockSpec, Program, ProgramBuilder};
 pub use spm::{SpmRegion, SpmRegionSpec};
 pub use stats::{DeviceStats, MachineStats, RegionStats};
-pub use trace::TraceRecorder;

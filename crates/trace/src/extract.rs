@@ -17,8 +17,6 @@
 //! phase's inverse access density (so re-fitting the regenerated
 //! workload finds the same phase structure).
 
-use std::sync::Arc;
-
 use ftspm_sim::{BlockId, BlockKind, Cpu, Dram, Program, SimError};
 use ftspm_workloads::{Checksum, SyntheticConfig, Workload};
 
@@ -567,10 +565,4 @@ impl Workload for FittedWorkload {
     fn expected_checksum(&self) -> u64 {
         self.expected
     }
-}
-
-/// Builds a fitted workload behind an `Arc`'d trace (the serve path).
-#[must_use]
-pub fn fitted(trace: &Arc<Trace>) -> FittedWorkload {
-    FittedWorkload::new(trace)
 }

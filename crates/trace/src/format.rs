@@ -4,10 +4,10 @@
 //! ## Layout
 //!
 //! A trace file is a 10-byte header — the [`MAGIC`] `FTSPMTRC` plus a
-//! little-endian u16 [`VERSION`] — followed by *chunks*, each framed
-//! exactly like a `harness::journal` record: `len: u32 LE | crc: u32 LE
-//! | payload`, with the CRC32 ([`ftspm_harness::journal::crc32`], the
-//! bitwise IEEE polynomial) taken over the payload. Chunk 0 is the
+//! little-endian u16 [`VERSION`] — followed by *chunks*, each framed by
+//! the crash journal's frame codec ([`ftspm_harness::journal::Framer`]
+//! / [`ftspm_harness::journal::deframe`]): `len: u32 LE | crc: u32 LE |
+//! payload`, with the IEEE CRC32 taken over the payload. Chunk 0 is the
 //! *header chunk* (program shape, initial-memory snapshot, replay
 //! checksum, op count); every later chunk carries a run of op records,
 //! so readers stream chunk by chunk instead of slurping one giant
@@ -21,16 +21,16 @@
 //!
 //! ## Torn tails
 //!
-//! The reader tolerates torn tails with the journal's exact semantics:
-//! complete, CRC-valid chunks decode; a trailing partial chunk is
-//! dropped and reported as [`Tail::Torn`]; a CRC mismatch on a
-//! *complete* chunk is [`TraceError::Corrupt`] (real corruption, not a
-//! torn write, which can only shorten the tail). A tail torn before the
-//! header chunk completed leaves nothing to replay and decodes to
-//! [`TraceError::Truncated`].
+//! The reader tolerates torn tails with the journal's semantics (it is
+//! the same deframer): complete, CRC-valid chunks decode; a trailing
+//! partial chunk is dropped and reported as [`Tail::Torn`]; a CRC
+//! mismatch on a *complete* chunk is [`TraceError::Corrupt`] (real
+//! corruption, not a torn write, which can only shorten the tail). A
+//! tail torn before the header chunk completed leaves nothing to replay
+//! and decodes to [`TraceError::Truncated`].
 
-use ftspm_harness::journal::crc32;
 pub use ftspm_harness::journal::Tail;
+use ftspm_harness::journal::{deframe, DecodeError, Framer};
 use ftspm_sim::{BlockId, BlockKind, Program};
 
 /// Leading magic: identifies a byte stream as an FTSPM access trace.
@@ -246,50 +246,24 @@ fn get_str(bytes: &[u8], pos: &mut usize, what: &str) -> Result<String, TraceErr
 }
 
 // ---------------------------------------------------------------------
-// Chunk framing (the journal's discipline, under the trace magic).
+// Chunk framing: the journal's frame codec under the trace header.
 
-fn frame_chunk(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Splits `bytes` into CRC-checked chunk payloads, tolerating a torn
-/// tail with `harness::journal`'s exact semantics.
-fn decode_chunks(bytes: &[u8]) -> Result<(Vec<&[u8]>, Tail), TraceError> {
+fn header() -> [u8; 10] {
     let mut header = [0u8; 10];
     header[..8].copy_from_slice(&MAGIC);
     header[8..].copy_from_slice(&VERSION.to_le_bytes());
-    if bytes.len() < header.len() {
-        return if header.starts_with(bytes) {
-            Ok((Vec::new(), Tail::Torn))
-        } else {
-            Err(TraceError::BadHeader)
-        };
-    }
-    if bytes[..header.len()] != header {
-        return Err(TraceError::BadHeader);
-    }
-    let mut rest = &bytes[header.len()..];
-    let mut chunks = Vec::new();
-    while !rest.is_empty() {
-        if rest.len() < 8 {
-            return Ok((chunks, Tail::Torn));
+    header
+}
+
+impl From<DecodeError> for TraceError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Corrupt { index } => Self::Corrupt { chunk: index },
+            // `BadHeader`, the codec's other failure (its error type is
+            // non-exhaustive, so it is matched by wildcard).
+            _ => Self::BadHeader,
         }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let Some(payload) = rest.get(8..8 + len) else {
-            return Ok((chunks, Tail::Torn));
-        };
-        if crc32(payload) != crc {
-            return Err(TraceError::Corrupt {
-                chunk: chunks.len(),
-            });
-        }
-        chunks.push(payload);
-        rest = &rest[8 + len..];
     }
-    Ok((chunks, Tail::Clean))
 }
 
 // ---------------------------------------------------------------------
@@ -629,24 +603,22 @@ impl Trace {
     /// equal [`TraceId`]s).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.records.len() * 4);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        frame_chunk(&mut out, &encode_header(self));
+        let mut out = Framer::new(&header(), 64 + self.records.len() * 4);
+        out.push(&encode_header(self));
         let mut chunk = Vec::with_capacity(CHUNK_TARGET_BYTES + 64);
         let mut prev_cycle = 0u64;
         for rec in &self.records {
             encode_record(&mut chunk, rec, prev_cycle);
             prev_cycle = rec.cycle;
             if chunk.len() >= CHUNK_TARGET_BYTES {
-                frame_chunk(&mut out, &chunk);
+                out.push(&chunk);
                 chunk.clear();
             }
         }
         if !chunk.is_empty() {
-            frame_chunk(&mut out, &chunk);
+            out.push(&chunk);
         }
-        out
+        out.finish()
     }
 
     /// Decodes a trace, streaming chunk by chunk and tolerating a torn
@@ -662,7 +634,7 @@ impl Trace {
     /// [`TraceError::Malformed`] for contents violating the format or
     /// its caps. Never panics, whatever the input.
     pub fn decode(bytes: &[u8]) -> Result<(Self, Tail), TraceError> {
-        let (chunks, tail) = decode_chunks(bytes)?;
+        let (chunks, tail) = deframe(&header(), bytes)?;
         let Some((header_chunk, op_chunks)) = chunks.split_first() else {
             return Err(TraceError::Truncated);
         };

@@ -33,7 +33,7 @@ pub mod record;
 pub mod replay;
 pub mod source;
 
-pub use extract::{fit, fitted, BlockUse, FittedWorkload, PhaseModel, TraceModel};
+pub use extract::{fit, BlockUse, FittedWorkload, PhaseModel, TraceModel};
 pub use format::{
     BlockInit, Tail, Trace, TraceError, TraceId, TraceOp, TraceRecord, MAGIC, MAX_CODE_BYTES,
     MAX_DATA_BYTES, MAX_OPS, VERSION,

@@ -1,9 +1,9 @@
 //! Recording: run a workload once on a private ideal machine with the
 //! CPU op tap armed, and capture everything a replay needs.
 //!
-//! The recording machine mirrors the harness's profiling structure —
-//! two 256 KiB unprotected-SRAM regions, code in one, data in the other
-//! — because recording must not disturb the op stream, and that
+//! The recording machine is the harness's [`profiling_structure`] —
+//! two 256 KiB unprotected-SRAM regions, code in the first, data in the
+//! second — because recording must not disturb the op stream, and that
 //! structure never faults, never remaps, and holds every replayable
 //! program whole. The op stream a workload issues through the public
 //! [`Cpu`] API is *machine-independent* (kernels
@@ -11,11 +11,9 @@
 //! so a trace recorded here replays identically on FTSPM and both
 //! baselines.
 
-use ftspm_ecc::ProtectionScheme;
-use ftspm_mem::{RegionGeometry, Technology};
+use ftspm_harness::profiling_structure;
 use ftspm_sim::{
     BlockKind, Cpu, CpuOp, Machine, MachineConfig, NullObserver, PlacementMap, RegionId, SimError,
-    SpmRegionSpec,
 };
 use ftspm_workloads::{Checksum, Workload};
 
@@ -66,23 +64,6 @@ impl From<SimError> for RecordError {
     }
 }
 
-fn recording_regions() -> Vec<SpmRegionSpec> {
-    vec![
-        SpmRegionSpec::new(
-            "TraceCode",
-            Technology::SramUnprotected,
-            ProtectionScheme::None,
-            RegionGeometry::from_kib(256),
-        ),
-        SpmRegionSpec::new(
-            "TraceData",
-            Technology::SramUnprotected,
-            ProtectionScheme::None,
-            RegionGeometry::from_kib(256),
-        ),
-    ]
-}
-
 /// Records one full run of `workload` into a [`Trace`].
 ///
 /// # Errors
@@ -109,7 +90,7 @@ pub fn record(workload: &mut dyn Workload) -> Result<Trace, RecordError> {
             data_bytes,
         });
     }
-    let regions = recording_regions();
+    let regions = profiling_structure().specs();
     let mut placement = PlacementMap::new(&program, &regions);
     for (id, spec) in program.iter() {
         let region = match spec.kind() {
