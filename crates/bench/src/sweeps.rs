@@ -25,6 +25,7 @@ use ftspm_harness::{
 };
 use ftspm_obs::{chrome_trace_json, merge_metrics_csv, Recorder};
 use ftspm_profile::Profile;
+use ftspm_serve::structure_token;
 use ftspm_sim::Program;
 use ftspm_testkit::par;
 use ftspm_workloads::{find_multicore, multicore_registry, CaseStudy, Workload};
@@ -423,11 +424,7 @@ pub fn run_multicore_cell(
 ) -> MulticoreCell {
     let entry = find_multicore(kernel).expect("grid names registered kernels");
     let mut w = entry.build(cores, None);
-    let structure = match kind {
-        StructureKind::Ftspm => SpmStructure::ftspm(),
-        StructureKind::PureSram => SpmStructure::pure_sram(),
-        StructureKind::PureStt => SpmStructure::pure_stt(),
-    };
+    let structure = kind.structure();
     let opts = LiveFaultOptions::builder(MULTICORE_FAULT_SEED, MULTICORE_STRIKE_MEAN)
         .restrict_to(vec![
             RegionRole::DataStt,
@@ -458,15 +455,6 @@ pub const MULTICORE_CSV_HEADER: &str =
      shared_fills,upgrades,shared_block_faults,cross_core_observations,\
      max_sharers,strikes,masked,corrections,due_traps,sdc_escapes,recovery_cycles\n";
 
-/// The `structure` column's token for `kind` (no spaces, CSV-friendly).
-pub fn structure_column(kind: StructureKind) -> &'static str {
-    match kind {
-        StructureKind::Ftspm => "ftspm",
-        StructureKind::PureSram => "pure_sram",
-        StructureKind::PureStt => "pure_stt",
-    }
-}
-
 /// Renders the multicore grid as the `results/multicore.csv` payload.
 pub fn multicore_csv(cells: &[MulticoreCell]) -> String {
     let mut csv = String::from(MULTICORE_CSV_HEADER);
@@ -493,7 +481,7 @@ pub fn multicore_csv_row(cell: &MulticoreCell) -> String {
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
         cell.kernel,
         cell.cores,
-        structure_column(cell.structure),
+        structure_token(cell.structure),
         cell.run.base.cycles,
         cell.run.base.checksum_ok,
         c.invalidations,
@@ -531,7 +519,7 @@ pub fn multicore_line(cell: &MulticoreCell) -> String {
          (seen x{:<3})  masked {:>3}  DRE {:>3}  DUE {:>2}  checksum {}",
         cell.kernel,
         cell.cores,
-        structure_column(cell.structure),
+        structure_token(cell.structure),
         cell.run.base.cycles,
         c.shared_block_faults,
         c.cross_core_observations,

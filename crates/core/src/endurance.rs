@@ -10,8 +10,6 @@
 //! minutes-to-months, while FTSPM deports write-intensive blocks to SRAM
 //! and stretches lifetime by about three orders of magnitude.
 
-use std::fmt;
-
 use ftspm_mem::Clock;
 
 /// The write-cycle thresholds of the paper's Table III.
@@ -47,34 +45,6 @@ pub fn lifetime_seconds(
     threshold_writes as f64 / writes_per_second
 }
 
-/// One row of Table III.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnduranceRow {
-    /// The write-cycle threshold (e.g. 10¹²).
-    pub threshold: u64,
-    /// Lifetime in seconds at that threshold.
-    pub lifetime_seconds: f64,
-}
-
-impl EnduranceRow {
-    /// Human-readable lifetime ("~40 minutes", "~1.5 years", …) matching
-    /// the paper's Table III style.
-    pub fn human_lifetime(&self) -> String {
-        format_duration(self.lifetime_seconds)
-    }
-}
-
-/// Builds the full Table III column for one structure.
-pub fn lifetime_table(max_line_writes: u64, run_cycles: u64, clock: Clock) -> Vec<EnduranceRow> {
-    TABLE_III_THRESHOLDS
-        .iter()
-        .map(|&threshold| EnduranceRow {
-            threshold,
-            lifetime_seconds: lifetime_seconds(threshold, max_line_writes, run_cycles, clock),
-        })
-        .collect()
-}
-
 /// Lifetime under *ideal wear levelling*: if the controller rotated
 /// physical lines so writes spread uniformly (an extension the paper's
 /// uniform-wear assumption gestures at), the array dies when the *total*
@@ -101,32 +71,6 @@ pub fn lifetime_seconds_leveled(
     assert!(run_cycles > 0, "a run with writes takes at least one cycle");
     let writes_per_second = total_writes as f64 / clock.seconds(run_cycles);
     threshold_writes as f64 * f64::from(lines) / writes_per_second
-}
-
-/// A per-line write budget for one run: the number of writes a single
-/// line may take before the graceful-degradation layer wear-quarantines
-/// it, expressed as `fraction` of the cell's `threshold_writes` budget
-/// that one run is allowed to consume.
-///
-/// # Panics
-///
-/// Panics if `fraction` is not in `(0, 1]`.
-pub fn line_write_budget(threshold_writes: u64, fraction: f64) -> u64 {
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "budget fraction must be in (0, 1]"
-    );
-    ((threshold_writes as f64) * fraction).floor() as u64
-}
-
-/// The wear-levelling headroom: how much longer an ideally-levelled
-/// array lives than the observed worst-line wear allows
-/// (`≥ 1`; equals 1 when writes are already uniform).
-pub fn leveling_gain(total_writes: u64, max_line_writes: u64, lines: u32) -> f64 {
-    if max_line_writes == 0 {
-        return 1.0;
-    }
-    f64::from(lines) * max_line_writes as f64 / total_writes.max(1) as f64
 }
 
 /// Formats a duration in seconds in the paper's "~40 Minutes" style.
@@ -156,30 +100,6 @@ pub fn format_duration(seconds: f64) -> String {
         format!("~{value:.0} {unit}")
     } else {
         format!("~{value:.1} {unit}")
-    }
-}
-
-/// A convenience display of a whole endurance table.
-#[derive(Debug, Clone)]
-pub struct EnduranceTable {
-    /// Structure name (column header).
-    pub structure: String,
-    /// Rows in threshold order.
-    pub rows: Vec<EnduranceRow>,
-}
-
-impl fmt::Display for EnduranceTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{:<12} {:>18}", "Threshold", &self.structure)?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<12.0e} {:>18}",
-                r.threshold as f64,
-                r.human_lifetime()
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -237,11 +157,10 @@ mod tests {
         assert!(leveled > worst);
         // Gain = lines · max_line / total = 1000·1000/2000 = 500.
         assert!((leveled / worst - 500.0).abs() < 1e-6);
-        assert!((leveling_gain(2000, 1000, 1000) - 500.0).abs() < 1e-9);
     }
 
     #[test]
-    fn uniform_wear_has_no_leveling_gain() {
+    fn uniform_wear_lives_as_long_leveled_as_worst_line() {
         // Every line written equally: levelled lifetime = worst-line
         // lifetime.
         let clock = Clock::default();
@@ -256,34 +175,10 @@ mod tests {
             clock,
         );
         assert!((worst - leveled).abs() / worst < 1e-9);
-        assert!((leveling_gain(per_line * u64::from(lines), per_line, lines) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn leveled_zero_writes_is_unlimited() {
         assert!(lifetime_seconds_leveled(1, 0, 8, 1, Clock::default()).is_infinite());
-    }
-
-    #[test]
-    fn write_budget_scales_with_fraction() {
-        assert_eq!(line_write_budget(1_000_000, 0.5), 500_000);
-        assert_eq!(line_write_budget(1_000_000, 1.0), 1_000_000);
-        assert_eq!(line_write_budget(3, 0.5), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget fraction")]
-    fn zero_budget_fraction_rejected() {
-        let _ = line_write_budget(1_000_000, 0.0);
-    }
-
-    #[test]
-    fn table_has_five_rows_in_order() {
-        let t = lifetime_table(100, 1_000_000, Clock::default());
-        assert_eq!(t.len(), 5);
-        for w in t.windows(2) {
-            assert!(w[0].threshold < w[1].threshold);
-            assert!(w[0].lifetime_seconds < w[1].lifetime_seconds);
-        }
     }
 }

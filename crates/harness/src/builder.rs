@@ -51,13 +51,12 @@ enum WorkloadSlot<'a> {
 /// structure; [`run_suite`](Self::run_suite) evaluates a workload set on
 /// FTSPM plus both baselines, sharded over `ftspm_testkit::par`.
 ///
-/// Observability is opt-in and exclusive: attach **either** a raw
-/// [`Observer`] ([`observer`](Self::observer)) **or** an
-/// [`ftspm_obs::Recorder`] ([`recorder`](Self::recorder)). The recorder
-/// path additionally records `profile → mda → run → report` phase spans
-/// and folds the run's final `FaultStats` into `faults.*` counters.
-/// With neither attached the run uses [`NullObserver`] — the
-/// near-zero-cost disabled path the `injected_run` bench pins.
+/// Observability is opt-in: attach an [`ftspm_obs::Recorder`]
+/// ([`recorder`](Self::recorder)) to record the run's counters and
+/// trace, its `profile → mda → run → report` phase spans, and its final
+/// `FaultStats` as `faults.*` counters. Without one the run uses
+/// [`NullObserver`] — the near-zero-cost disabled path the
+/// `injected_run` bench pins.
 pub struct RunBuilder<'a> {
     workload: WorkloadSlot<'a>,
     cores: Option<usize>,
@@ -68,7 +67,6 @@ pub struct RunBuilder<'a> {
     faults: Option<LiveFaultOptions>,
     deadline_cycles: Option<u64>,
     threads: Option<NonZeroUsize>,
-    observer: Option<&'a mut dyn Observer>,
     recorder: Option<&'a mut Recorder>,
 }
 
@@ -93,7 +91,6 @@ impl<'a> RunBuilder<'a> {
             faults: None,
             deadline_cycles: None,
             threads: None,
-            observer: None,
             recorder: None,
         }
     }
@@ -205,37 +202,10 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Attaches a raw observer to the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recorder is already attached — the sinks are
-    /// exclusive (a [`Recorder`] *is* an observer; attach it with
-    /// [`recorder`](Self::recorder) to also get phase spans and
-    /// `faults.*` counters).
-    #[must_use]
-    pub fn observer(mut self, observer: &'a mut dyn Observer) -> Self {
-        assert!(
-            self.recorder.is_none(),
-            "RunBuilder: attach either .observer(..) or .recorder(..), not both"
-        );
-        self.observer = Some(observer);
-        self
-    }
-
     /// Attaches an [`ftspm_obs::Recorder`]: counters and trace from the
     /// run, plus phase spans and fault-stat counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a raw observer is already attached (see
-    /// [`observer`](Self::observer)).
     #[must_use]
     pub fn recorder(mut self, recorder: &'a mut Recorder) -> Self {
-        assert!(
-            self.observer.is_none(),
-            "RunBuilder: attach either .observer(..) or .recorder(..), not both"
-        );
         self.recorder = Some(recorder);
         self
     }
@@ -329,7 +299,7 @@ impl<'a> RunBuilder<'a> {
         }
         let (structure, kind) = self
             .structure
-            .unwrap_or_else(|| (SpmStructure::ftspm(), StructureKind::Ftspm));
+            .unwrap_or_else(|| (StructureKind::Ftspm.structure(), StructureKind::Ftspm));
 
         let (profile, sharers) = match self.profile {
             Some(p) => (p, vec![0; workload.program().len()]),
@@ -355,10 +325,9 @@ impl<'a> RunBuilder<'a> {
             recorder.align_to_phases();
         }
         let mut null = NullObserver;
-        let observer: &mut dyn Observer = match (recorder.as_deref_mut(), self.observer) {
-            (Some(recorder), _) => recorder,
-            (None, Some(observer)) => observer,
-            (None, None) => &mut null,
+        let observer: &mut dyn Observer = match recorder.as_deref_mut() {
+            Some(recorder) => recorder,
+            None => &mut null,
         };
         let metrics = mapped_run(
             workload,
@@ -398,9 +367,8 @@ impl<'a> RunBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if fault options or a raw observer are attached: live
-    /// injection is a single-run feature, and one `&mut` observer
-    /// cannot be shared across shards.
+    /// Panics if fault options are attached: live injection is a
+    /// single-run feature.
     pub fn run_suite(
         self,
         workloads: Vec<Box<dyn Workload>>,
@@ -409,10 +377,6 @@ impl<'a> RunBuilder<'a> {
         assert!(
             self.faults.is_none(),
             "RunBuilder::run_suite does not support fault injection; use .faults(..).run() per workload"
-        );
-        assert!(
-            self.observer.is_none(),
-            "RunBuilder::run_suite cannot share one observer across shards; use .recorder(..)"
         );
         let threads = self
             .threads

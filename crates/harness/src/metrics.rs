@@ -2,6 +2,7 @@
 
 use ftspm_core::mda::MdaOutput;
 use ftspm_core::reliability::VulnerabilityReport;
+use ftspm_core::SpmStructure;
 use ftspm_profile::Profile;
 
 /// Which of the three compared structures a run used.
@@ -29,6 +30,15 @@ impl StructureKind {
             StructureKind::Ftspm => "FTSPM",
             StructureKind::PureSram => "pure SRAM",
             StructureKind::PureStt => "pure STT-RAM",
+        }
+    }
+
+    /// The SPM structure this kind names.
+    pub fn structure(self) -> SpmStructure {
+        match self {
+            StructureKind::Ftspm => SpmStructure::ftspm(),
+            StructureKind::PureSram => SpmStructure::pure_sram(),
+            StructureKind::PureStt => SpmStructure::pure_stt(),
         }
     }
 }

@@ -604,7 +604,8 @@ pub(crate) fn evaluate_workload_observed(
     let (profile, sharers) =
         try_profile_multi_workload(&mut single, None).expect("profiling run has no deadline");
     let program = single.program().clone();
-    let mut run = |structure: SpmStructure, kind: StructureKind| {
+    let mut run = |kind: StructureKind| {
+        let structure = kind.structure();
         let mapping = compute_mapping(&program, &profile, &sharers, &structure, kind, optimize);
         mapped_run(
             &mut single,
@@ -619,9 +620,9 @@ pub(crate) fn evaluate_workload_observed(
         .expect("run without a deadline cannot be cancelled")
         .base
     };
-    let ftspm = run(SpmStructure::ftspm(), StructureKind::Ftspm);
-    let pure_sram = run(SpmStructure::pure_sram(), StructureKind::PureSram);
-    let pure_stt = run(SpmStructure::pure_stt(), StructureKind::PureStt);
+    let ftspm = run(StructureKind::Ftspm);
+    let pure_sram = run(StructureKind::PureSram);
+    let pure_stt = run(StructureKind::PureStt);
     WorkloadEvaluation {
         workload: single.name().to_string(),
         profile,

@@ -1,4 +1,4 @@
-//! Physical geometry of a memory region: capacity, word size, area.
+//! Physical geometry of a memory region: capacity and word size.
 
 /// Word size used throughout the simulator, in bytes (32-bit embedded core).
 pub const WORD_BYTES: u32 = 4;
@@ -48,48 +48,11 @@ impl RegionGeometry {
     pub fn words(self) -> u32 {
         self.capacity_bytes / WORD_BYTES
     }
-
-    /// Silicon area estimate for this region under a given technology, in
-    /// square micrometres at 40 nm.
-    ///
-    /// Cell areas: 6T SRAM ≈ 0.30 µm²/bit, STT-RAM (1T1MTJ) ≈ 0.10 µm²/bit
-    /// (ITRS'10-class values). `storage_overhead` accounts for check bits;
-    /// a fixed 15 % is added for the periphery.
-    pub fn area_um2(self, params: &crate::TechParams) -> AreaEstimate {
-        let bits = f64::from(self.capacity_bytes) * 8.0 * params.storage_overhead;
-        let cell_um2_per_bit = if params.technology == crate::Technology::SttRam {
-            0.10
-        } else {
-            0.30
-        };
-        let cells = bits * cell_um2_per_bit;
-        AreaEstimate {
-            cell_um2: cells,
-            periphery_um2: cells * 0.15,
-        }
-    }
-}
-
-/// Area breakdown returned by [`RegionGeometry::area_um2`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AreaEstimate {
-    /// Area of the cell array, including check bits, in µm².
-    pub cell_um2: f64,
-    /// Area of decoders/sense-amps/code logic, in µm².
-    pub periphery_um2: f64,
-}
-
-impl AreaEstimate {
-    /// Total area in µm².
-    pub fn total_um2(self) -> f64 {
-        self.cell_um2 + self.periphery_um2
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Technology;
 
     #[test]
     fn kib_roundtrip() {
@@ -109,21 +72,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn rejects_zero_capacity() {
         let _ = RegionGeometry::from_bytes(0);
-    }
-
-    #[test]
-    fn stt_is_denser_than_sram() {
-        let g = RegionGeometry::from_kib(16);
-        let sram = g.area_um2(&Technology::SramUnprotected.params_40nm());
-        let stt = g.area_um2(&Technology::SttRam.params_40nm());
-        assert!(stt.total_um2() < sram.total_um2());
-    }
-
-    #[test]
-    fn secded_area_exceeds_unprotected() {
-        let g = RegionGeometry::from_kib(16);
-        let plain = g.area_um2(&Technology::SramUnprotected.params_40nm());
-        let ecc = g.area_um2(&Technology::SramSecDed.params_40nm());
-        assert!(ecc.total_um2() > plain.total_um2());
     }
 }

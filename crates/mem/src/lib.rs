@@ -30,7 +30,7 @@ mod technology;
 
 pub use clock::Clock;
 pub use energy::{EnergyAccount, EnergyBreakdown};
-pub use geometry::{AreaEstimate, RegionGeometry, WORD_BYTES};
+pub use geometry::{RegionGeometry, WORD_BYTES};
 pub use technology::{TechParams, Technology};
 
 #[cfg(test)]

@@ -146,11 +146,6 @@ impl Recorder {
         &self.trace
     }
 
-    /// Mutable trace access.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// Consumes the recorder, yielding its registry and trace.
     pub fn into_parts(self) -> (MetricsRegistry, Trace) {
         (self.registry, self.trace)

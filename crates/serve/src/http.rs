@@ -18,7 +18,7 @@
 //! pipelined responses against fresh-connection ones byte for byte.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Longest accepted request line (`METHOD SP path SP version CRLF`).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -155,32 +155,25 @@ fn read_capped_line(
     consumed: &mut usize,
 ) -> Result<Option<String>, HttpError> {
     let mut raw = Vec::new();
-    loop {
-        if raw.len() >= max {
-            return Err(over());
-        }
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if raw.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Truncated);
-            }
-            Ok(_) => {
-                *consumed += 1;
-                if byte[0] == b'\n' {
-                    if raw.last() == Some(&b'\r') {
-                        raw.pop();
-                    }
-                    let line = String::from_utf8(raw).map_err(|_| HttpError::BadHeader)?;
-                    return Ok(Some(line));
-                }
-                raw.push(byte[0]);
-            }
-            Err(e) => return Err(e.into()),
-        }
+    let read = reader.by_ref().take(max as u64).read_until(b'\n', &mut raw);
+    // `read_until` keeps the bytes it read before an error, so a timeout
+    // mid-line still counts as consumed.
+    *consumed += raw.len();
+    read?;
+    if raw.last() != Some(&b'\n') {
+        return match raw.len() {
+            0 => Ok(None),
+            n if n == max => Err(over()),
+            _ => Err(HttpError::Truncated),
+        };
     }
+    raw.pop();
+    if raw.last() == Some(&b'\r') {
+        raw.pop();
+    }
+    String::from_utf8(raw)
+        .map(Some)
+        .map_err(|_| HttpError::BadHeader)
 }
 
 /// Reads and validates one request frame from `reader`.
@@ -533,6 +526,45 @@ mod tests {
             parse(&fat_headers),
             Err(HttpError::HeadersTooLarge)
         ));
+    }
+
+    /// `GET /<pad> HTTP/1.1\r\n` padded to exactly `len` bytes.
+    fn request_line_of(len: usize) -> Vec<u8> {
+        let fixed = "GET / HTTP/1.1\r\n".len();
+        format!("GET /{} HTTP/1.1\r\n", "a".repeat(len - fixed)).into_bytes()
+    }
+
+    #[test]
+    fn request_line_cap_is_exact() {
+        let mut at_cap = request_line_of(MAX_REQUEST_LINE);
+        at_cap.extend_from_slice(b"\r\n");
+        let req = parse(&at_cap).expect("a request line of exactly the cap parses");
+        assert_eq!(req.path.len(), MAX_REQUEST_LINE - "GET  HTTP/1.1\r\n".len());
+
+        let mut over = request_line_of(MAX_REQUEST_LINE + 1);
+        over.extend_from_slice(b"\r\n");
+        assert_eq!(parse(&over).expect_err("one byte over").status(), 414);
+    }
+
+    #[test]
+    fn header_block_cap_is_exact() {
+        // The block counts the request line without its CRLF, every
+        // header line with its CRLF, and the blank line that ends it.
+        let line = b"GET / HTTP/1.1\r\n";
+        let last_accepted = MAX_HEADER_BYTES - (line.len() - 2) - 2;
+        let frame = |header_len: usize| {
+            let mut raw = line.to_vec();
+            let value = "v".repeat(header_len - "x-pad: \r\n".len());
+            raw.extend_from_slice(format!("x-pad: {value}\r\n\r\n").as_bytes());
+            raw
+        };
+        parse(&frame(last_accepted)).expect("a header at the last accepted length parses");
+        assert_eq!(
+            parse(&frame(last_accepted + 1))
+                .expect_err("one byte over")
+                .status(),
+            431
+        );
     }
 
     #[test]

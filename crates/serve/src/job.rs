@@ -40,7 +40,7 @@
 
 use std::fmt;
 
-use ftspm_core::{OptimizeFor, RegionRole, SpmStructure};
+use ftspm_core::{OptimizeFor, RegionRole};
 use ftspm_ecc::MbuDistribution;
 use ftspm_harness::{
     FaultOptionsError, LiveFaultOptions, MultiRunMetrics, RunBuilder, RunError, RunMetrics,
@@ -672,11 +672,7 @@ impl JobSpec {
             !self.chaos_panic,
             "chaos_panic: injected worker panic (test hook)"
         );
-        let structure = match self.structure {
-            StructureKind::Ftspm => SpmStructure::ftspm(),
-            StructureKind::PureSram => SpmStructure::pure_sram(),
-            StructureKind::PureStt => SpmStructure::pure_stt(),
-        };
+        let structure = self.structure.structure();
         let mut builder = match self.cores {
             None => RunBuilder::new().workload_boxed(self.workload.build(traces)?),
             Some(cores) => {

@@ -563,21 +563,34 @@ impl ExecOutcome {
             ),
         }
     }
+}
 
-    /// Folds this job into the service registry (the caller holds the
-    /// lock so batch elements fold atomically).
-    fn count_into(&self, registry: &mut MetricsRegistry) {
-        match self {
-            Self::Done(output) => {
-                registry.incr("serve.jobs");
-                if let Some(job_registry) = &output.registry {
-                    registry.merge(job_registry);
-                }
+/// Folds one job into the service registry by its response `status`
+/// (see [`ExecOutcome::status`]): a report counts `serve.jobs`, its
+/// trace counter when `spec` is trace-backed, and merges the job's own
+/// registry; a deadline kill counts `serve.deadline_killed`. A cache
+/// hit folds through here too, so it accounts exactly as a fresh run.
+fn count_job(
+    registry: &mut MetricsRegistry,
+    spec: &JobSpec,
+    status: u16,
+    job_registry: Option<&MetricsRegistry>,
+) {
+    match status {
+        200 => {
+            registry.incr("serve.jobs");
+            match &spec.workload {
+                WorkloadSource::Trace(_) => registry.incr("trace.replayed"),
+                WorkloadSource::Fitted(_) => registry.incr("trace.fitted"),
+                _ => {}
             }
-            Self::Deadline { .. } => registry.incr("serve.deadline_killed"),
-            Self::Unresolved(_) => registry.incr("trace.unresolved"),
-            Self::Panicked(_) => registry.incr("serve.panicked"),
+            if let Some(job_registry) = job_registry {
+                registry.merge(job_registry);
+            }
         }
+        504 => registry.incr("serve.deadline_killed"),
+        422 => registry.incr("trace.unresolved"),
+        _ => registry.incr("serve.panicked"),
     }
 }
 
@@ -622,8 +635,7 @@ fn execute_spec(spec: &JobSpec, shared: &Shared) -> ExecOutcome {
 ///
 /// A hit replays the stored result: same status, same body bytes, and
 /// the same registry accounting a fresh run would have performed
-/// (`serve.jobs` + registry merge for a report, `serve.deadline_killed`
-/// for a deadline kill), plus `serve.cache.hit`. The determinism
+/// ([`count_job`]), plus `serve.cache.hit`. The determinism
 /// contract is what makes this sound — the stored bytes *are* the bytes
 /// a fresh run would produce. A miss counts `serve.cache.miss`, runs,
 /// and caches any non-panic outcome; panics are never cached (there is
@@ -635,36 +647,18 @@ fn run_cached(spec: &JobSpec, shared: &Shared) -> (u16, String) {
         if let Some(hit) = relock(&shared.cache).get(key) {
             let mut registry = relock(&shared.registry);
             registry.incr("serve.cache.hit");
-            if hit.status == 200 {
-                registry.incr("serve.jobs");
-                match &spec.workload {
-                    WorkloadSource::Trace(_) => registry.incr("trace.replayed"),
-                    WorkloadSource::Fitted(_) => registry.incr("trace.fitted"),
-                    _ => {}
-                }
-                if let Some(job_registry) = &hit.registry {
-                    registry.merge(job_registry);
-                }
-            } else {
-                registry.incr("serve.deadline_killed");
-            }
+            count_job(&mut registry, spec, hit.status, hit.registry.as_ref());
             return (hit.status, hit.body);
         }
         relock(&shared.registry).incr("serve.cache.miss");
     }
     let outcome = execute_spec(spec, shared);
-    {
-        let mut registry = relock(&shared.registry);
-        outcome.count_into(&mut registry);
-        if matches!(outcome, ExecOutcome::Done(_)) {
-            match &spec.workload {
-                WorkloadSource::Trace(_) => registry.incr("trace.replayed"),
-                WorkloadSource::Fitted(_) => registry.incr("trace.fitted"),
-                _ => {}
-            }
-        }
-    }
     let status = outcome.status();
+    let job_registry = match &outcome {
+        ExecOutcome::Done(output) => output.registry.as_ref(),
+        _ => None,
+    };
+    count_job(&mut relock(&shared.registry), spec, status, job_registry);
     let body = outcome.body();
     if let Some(key) = key {
         // An unresolved workload is never cached: the trace table is

@@ -71,25 +71,6 @@ impl Dram {
         self.config.first_word_cycles + (words - 1) * self.config.per_word_cycles
     }
 
-    /// Reads one word of a block's home copy, charging a full first-word
-    /// latency (a non-burst random access).
-    pub fn read_word(&mut self, block: BlockId, offset: u32) -> (u32, u32) {
-        let v = self.peek_word(block, offset);
-        self.stats.reads += 1;
-        self.stats.read_cycles += u64::from(self.config.first_word_cycles);
-        self.energy.add_read(self.config.read_energy_pj);
-        (v, self.config.first_word_cycles)
-    }
-
-    /// Writes one word of a block's home copy (non-burst).
-    pub fn write_word(&mut self, block: BlockId, offset: u32, value: u32) -> u32 {
-        self.poke_word(block, offset, value);
-        self.stats.writes += 1;
-        self.stats.write_cycles += u64::from(self.config.first_word_cycles);
-        self.energy.add_write(self.config.write_energy_pj);
-        self.config.first_word_cycles
-    }
-
     /// Reads a burst of `words` words starting at `offset`, charging burst
     /// timing/energy; the values are appended to `out`.
     pub fn read_burst(
@@ -186,10 +167,10 @@ mod tests {
     fn words_roundtrip_per_block() {
         let p = program();
         let mut d = Dram::new(DramConfig::default(), &p);
-        d.write_word(BlockId(0), 0, 11);
-        d.write_word(BlockId(1), 0, 22);
-        assert_eq!(d.read_word(BlockId(0), 0).0, 11);
-        assert_eq!(d.read_word(BlockId(1), 0).0, 22);
+        d.poke_word(BlockId(0), 0, 11);
+        d.poke_word(BlockId(1), 0, 22);
+        assert_eq!(d.peek_word(BlockId(0), 0), 11);
+        assert_eq!(d.peek_word(BlockId(1), 0), 22);
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl MachineConfig {
         self.faults = Some(faults);
         self
     }
-
-    /// Bounds the run to `deadline` cycles (see
-    /// [`MachineConfig::deadline_cycles`]).
-    pub fn with_deadline_cycles(mut self, deadline: u64) -> Self {
-        self.deadline_cycles = Some(deadline);
-        self
-    }
 }
 
 /// Bus-level coherence counters of a multi-core machine.

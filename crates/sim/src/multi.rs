@@ -130,11 +130,6 @@ impl MultiMachine {
         out
     }
 
-    /// `core`'s saved execution state (call depth, peak stack).
-    pub fn cpu_state(&self, core: usize) -> &CpuState {
-        &self.cpu_states[core]
-    }
-
     /// `core`'s `(icache, dcache)` pair, whether live or parked — the
     /// litmus suite probes line states across cores through this.
     pub fn core_caches(&self, core: usize) -> (&Cache, &Cache) {
@@ -161,11 +156,6 @@ impl MultiMachine {
     /// its statistics. Idempotent.
     pub fn finish(&mut self, observer: &mut dyn Observer) -> MachineStats {
         self.machine.finish(observer)
-    }
-
-    /// Consumes the wrapper, returning the backend machine.
-    pub fn into_machine(self) -> Machine {
-        self.machine
     }
 }
 

@@ -73,11 +73,6 @@ impl Rng {
         result
     }
 
-    /// The next raw 32-bit output (upper half of [`Self::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value of any primitive type (see [`Random`]).
     pub fn gen<T: Random>(&mut self) -> T {
         T::random(self)
@@ -98,29 +93,11 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A Bernoulli draw: `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-        self.gen_f64() < p
-    }
-
     /// Fills `dest` with uniform bytes.
     pub fn fill(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
             let bytes = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.bounded_u64(i as u64 + 1) as usize;
-            slice.swap(i, j);
         }
     }
 
@@ -154,32 +131,6 @@ impl Rng {
             .iter()
             .rposition(|&w| w > 0.0)
             .expect("total > 0 guarantees a positive bucket")
-    }
-
-    /// Advances the state by 2^192 steps (the xoshiro256** `long_jump`):
-    /// each call moves to the next of 2^64 non-overlapping substreams of
-    /// 2^192 outputs. An alternative to [`derive_seed`]-based sharding
-    /// when substreams must come from one canonical stream.
-    pub fn long_jump(&mut self) {
-        const LONG_JUMP: [u64; 4] = [
-            0x76E1_5D3E_FEFD_CBBF,
-            0xC500_4E44_1C52_2FB3,
-            0x7771_0069_854E_E241,
-            0x3910_9BB0_2ACB_E635,
-        ];
-        let mut s = [0u64; 4];
-        for jump in LONG_JUMP {
-            for b in 0..64 {
-                if jump & (1u64 << b) != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = s;
     }
 
     /// Uniform in `[0, n)` via Lemire's unbiased multiply-shift method.
@@ -375,29 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn gen_bool_matches_probability() {
-        let mut r = Rng::seed_from_u64(3);
-        let hits = (0..100_000).filter(|_| r.gen_bool(0.25)).count();
-        assert!((24_000..26_000).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
     fn fill_covers_partial_chunks() {
         let mut r = Rng::seed_from_u64(5);
         let mut buf = [0u8; 13];
         r.fill(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::seed_from_u64(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "100 elements virtually never shuffle to id");
     }
 
     #[test]
@@ -447,22 +380,6 @@ mod tests {
                 assert!(seen.insert(derive_seed(seed, stream)), "{seed}/{stream}");
             }
         }
-    }
-
-    #[test]
-    fn long_jump_yields_disjoint_substreams() {
-        let mut a = Rng::seed_from_u64(7);
-        let mut b = a.clone();
-        b.long_jump();
-        assert_ne!(a, b, "long_jump must move the state");
-        let xs: Vec<u64> = (0..256).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..256).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-        // The jumped stream replays like any other stream.
-        let mut c = Rng::seed_from_u64(7);
-        c.long_jump();
-        let zs: Vec<u64> = (0..256).map(|_| c.next_u64()).collect();
-        assert_eq!(ys, zs);
     }
 
     #[test]

@@ -444,13 +444,6 @@ impl FittedWorkload {
         fitted
     }
 
-    /// The phase pacing/mix this workload will regenerate (for the
-    /// `repro trace` diff display).
-    #[must_use]
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
     fn pick(&self, global_index: u64) -> (BlockId, u32, u32) {
         let h = splitmix(self.seed ^ global_index.wrapping_mul(0xD129_0F1E_DCBA_9871));
         let r = h % self.total_weight;
