@@ -17,6 +17,10 @@
 //!   the service has.
 //! - `batch8_cold`: an 8-job batch of unique seeds, fanned out over
 //!   the pool; the 1-vs-N gap prices the pool's parallel speedup.
+//! - `sweep7_cold`: the 7 design points of one fresh workload in one
+//!   batch — the 4 MDA targets, both baselines and a faulted point — at
+//!   1 and 4 workers. The points share one profiling pass, so this
+//!   prices that saving against `batch8_cold`'s 8 distinct workloads.
 
 use ftspm_serve::{ServeConfig, Server};
 use ftspm_testkit::par::thread_count;
@@ -26,11 +30,26 @@ use std::num::NonZeroUsize;
 const WARMUP: u32 = 2;
 const ITERS: u32 = 10;
 const BATCH: usize = 8;
+/// The design points of one `sweep7_cold` batch, as extra job fields.
+const SWEEP: [&str; 7] = [
+    r#","optimize":"reliability""#,
+    r#","optimize":"performance""#,
+    r#","optimize":"power""#,
+    r#","optimize":"endurance""#,
+    r#","structure":"pure_sram""#,
+    r#","structure":"pure_stt""#,
+    r#","faults":{"seed":7,"mean_cycles_between_strikes":2000.0}"#,
+];
 
 fn job_body(seed: u64) -> String {
+    sweep_point(seed, "")
+}
+
+/// A job on the bench's synthetic workload, with `extra` job fields.
+fn sweep_point(seed: u64, extra: &str) -> String {
     format!(
         "{{\"workload\":{{\"synthetic\":{{\"buffer_words\":64,\"accesses\":4000,\
-         \"run_length\":8,\"seed\":{seed}}}}}}}"
+         \"run_length\":8,\"seed\":{seed}}}}}{extra}}}"
     )
 }
 
@@ -107,6 +126,29 @@ fn main() {
             black_box(reply.body.len())
         });
 
+        drop(server);
+    }
+
+    for workers in [1, 4] {
+        let (listener, _) = ephemeral_listener();
+        let server = Server::start(
+            listener,
+            ServeConfig {
+                workers: NonZeroUsize::new(workers).expect("nonzero workers"),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("boot");
+        let addr = server.addr();
+        g.bench(&format!("sweep7_cold/workers_{workers}"), || {
+            next_seed += 1;
+            let points: Vec<String> = SWEEP.iter().map(|p| sweep_point(next_seed, p)).collect();
+            let batch = format!("[{}]", points.join(","));
+            let reply = http_request(addr, "POST", "/v1/batch", batch.as_bytes())
+                .expect("bench sweep request");
+            assert_eq!(reply.status, 200);
+            black_box(reply.body.len())
+        });
         drop(server);
     }
 

@@ -31,7 +31,7 @@ use ftspm_workloads::Workload;
 use crate::metrics::{MultiRunMetrics, RunMetrics, StructureKind, WorkloadEvaluation};
 use crate::pipeline::{
     compute_mapping, evaluate_workload_observed, mapped_run, try_profile_multi_workload,
-    LiveFaultOptions, RunError, SingleCore,
+    LiveFaultOptions, ProfilePass, RunError, SingleCore,
 };
 
 /// The builder's workload slot: absent, borrowed from the caller, or
@@ -62,7 +62,8 @@ pub struct RunBuilder<'a> {
     cores: Option<usize>,
     structure: Option<(SpmStructure, StructureKind)>,
     mapping: Option<MdaOutput>,
-    profile: Option<Profile>,
+    /// A borrowed profiling pass, with its sharer counts when known.
+    profile: Option<(&'a Profile, Option<&'a [u32]>)>,
     optimize: OptimizeFor,
     faults: Option<LiveFaultOptions>,
     deadline_cycles: Option<u64>,
@@ -155,11 +156,25 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// A precomputed profiling pass for the same workload. Without one,
-    /// [`run`](Self::run) profiles the workload first.
+    /// A precomputed profile of the same workload, borrowed for the run.
+    /// Without one, [`run`](Self::run) profiles the workload first. A
+    /// bare profile carries no sharer counts, so a computed FTSPM
+    /// mapping is plain MDA; hand an N-core run its whole pass with
+    /// [`profile_pass`](Self::profile_pass) instead.
     #[must_use]
-    pub fn profile(mut self, profile: &Profile) -> Self {
-        self.profile = Some(profile.clone());
+    pub fn profile(mut self, profile: &'a Profile) -> Self {
+        self.profile = Some((profile, None));
+        self
+    }
+
+    /// A precomputed profiling pass of the same workload — the profile
+    /// plus its per-block sharer counts, as
+    /// [`try_profile_multi_workload`] returns it — borrowed for the run.
+    /// A computed FTSPM mapping is then sharer-weighted exactly as if
+    /// the run had profiled for itself.
+    #[must_use]
+    pub fn profile_pass(mut self, pass: &'a ProfilePass) -> Self {
+        self.profile = Some((&pass.0, Some(&pass.1)));
         self
     }
 
@@ -267,8 +282,9 @@ impl<'a> RunBuilder<'a> {
     /// [`run_mda_multicore`](ftspm_core::mda::run_mda_multicore) so
     /// blocks shared across cores weigh their cross-core fault exposure
     /// in the eviction and ECC/parity splits. A 1-core run has no
-    /// sharers, which makes that plain MDA; so does a supplied
-    /// [`profile`](Self::profile), which carries no sharer counts.
+    /// sharers, which makes that plain MDA; so does a bare
+    /// [`profile`](Self::profile), which carries no sharer counts (a
+    /// [`profile_pass`](Self::profile_pass) does).
     ///
     /// With a recorder attached, the run's fault stats land as
     /// `faults.*` counters and, at 2 or more cores, its coherence
@@ -301,15 +317,23 @@ impl<'a> RunBuilder<'a> {
             .structure
             .unwrap_or_else(|| (StructureKind::Ftspm.structure(), StructureKind::Ftspm));
 
-        let (profile, sharers) = match self.profile {
-            Some(p) => (p, vec![0; workload.program().len()]),
-            None => try_profile_multi_workload(workload, self.deadline_cycles)?,
+        let (computed, no_sharers);
+        let (profile, sharers): (&Profile, &[u32]) = match self.profile {
+            Some((profile, Some(sharers))) => (profile, sharers),
+            Some((profile, None)) => {
+                no_sharers = vec![0; workload.program().len()];
+                (profile, &no_sharers)
+            }
+            None => {
+                computed = try_profile_multi_workload(workload, self.deadline_cycles)?;
+                (&computed.0, &computed.1)
+            }
         };
         let mapping = self.mapping.unwrap_or_else(|| {
             compute_mapping(
                 workload.program(),
-                &profile,
-                &sharers,
+                profile,
+                sharers,
                 &structure,
                 kind,
                 self.optimize,
@@ -334,7 +358,7 @@ impl<'a> RunBuilder<'a> {
             &structure,
             kind,
             mapping,
-            &profile,
+            profile,
             self.faults.as_ref(),
             self.deadline_cycles,
             observer,

@@ -37,5 +37,6 @@ pub use builder::RunBuilder;
 pub use metrics::{MultiRunMetrics, RegionTraffic, RunMetrics, StructureKind, WorkloadEvaluation};
 pub use pipeline::{
     evaluate_workload, profile_workload, profiling_structure, try_profile_multi_workload,
-    try_profile_workload, FaultOptionsError, LiveFaultOptions, LiveFaultOptionsBuilder, RunError,
+    try_profile_workload, FaultOptionsError, LiveFaultOptions, LiveFaultOptionsBuilder,
+    ProfilePass, RunError, SingleCore,
 };

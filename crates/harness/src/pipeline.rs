@@ -348,13 +348,17 @@ impl LiveFaultOptions {
 
 /// A single-core [`Workload`] as a 1-core [`MultiWorkload`]: `step(0)`
 /// runs the kernel to completion and reports [`StepOutcome::Done`].
-pub(crate) struct SingleCore<W> {
+/// `W` is anything that dereferences to a workload (`&mut dyn Workload`,
+/// `Box<dyn Workload>`), so one run path — and one profiling pass,
+/// [`try_profile_multi_workload`] — serves single- and multi-core jobs.
+pub struct SingleCore<W> {
     workload: W,
     checksum: u64,
 }
 
 impl<W> SingleCore<W> {
-    pub(crate) fn new(workload: W) -> Self {
+    /// Wraps `workload` as a 1-core workload.
+    pub fn new(workload: W) -> Self {
         Self {
             workload,
             checksum: 0,
@@ -484,6 +488,13 @@ fn sharer_counts(mm: &MultiMachine, program: &Program) -> Vec<u32> {
         .collect()
 }
 
+/// One profiling pass: the profile plus per-block sharer counts, in
+/// block-id order (all zero for a 1-core workload). It is a function of
+/// the workload and its core count alone, so every structure, target
+/// and fault option run on that workload can share one —
+/// [`crate::RunBuilder::profile_pass`] borrows it.
+pub type ProfilePass = (Profile, Vec<u32>);
+
 /// The profiling pass: the ideal placement-neutral
 /// [`profiling_structure`], executed in deterministic lockstep on a
 /// [`MultiMachine`] with the workload's core count. Returns the profile
@@ -501,7 +512,7 @@ fn sharer_counts(mm: &MultiMachine, program: &Program) -> Vec<u32> {
 pub fn try_profile_multi_workload(
     workload: &mut dyn MultiWorkload,
     deadline_cycles: Option<u64>,
-) -> Result<(Profile, Vec<u32>), RunError> {
+) -> Result<ProfilePass, RunError> {
     let program = workload.program().clone();
     let structure = profiling_structure();
     let placement = map_everything(&program, &structure);

@@ -39,16 +39,18 @@
 //! at any worker-pool size.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use ftspm_core::{OptimizeFor, RegionRole};
 use ftspm_ecc::MbuDistribution;
 use ftspm_harness::{
-    FaultOptionsError, LiveFaultOptions, MultiRunMetrics, RunBuilder, RunError, RunMetrics,
-    StructureKind,
+    try_profile_multi_workload, FaultOptionsError, LiveFaultOptions, MultiRunMetrics, ProfilePass,
+    RunBuilder, RunError, RunMetrics, SingleCore, StructureKind,
 };
 use ftspm_obs::{MetricsRegistry, Recorder};
 use ftspm_sim::MAX_CORES;
 use ftspm_trace::{NoTraces, SourceError, TraceId, TraceResolver, WorkloadSource};
+use ftspm_workloads::multicore::MultiWorkload;
 use ftspm_workloads::{find_multicore, multicore_names, SyntheticConfig};
 
 use crate::json::{self, Json, JsonError};
@@ -540,24 +542,7 @@ impl JobSpec {
     pub fn canonical(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(192);
-        // The workload fragment is rendered by the source itself and is
-        // byte-compatible with the historical two-variant rendering
-        // (pinned by `tests/spec_goldens.rs`), so pre-redesign cache
-        // addresses and job ids survive unchanged. Multi-core jobs
-        // resolve their default seed in the multicore registry instead
-        // (an omitted seed and the written-out default must share one
-        // cache line there too).
-        match self.cores {
-            None => s.push_str(&self.workload.canonical_fragment()),
-            Some(_) => {
-                let WorkloadSource::Named { name, seed } = &self.workload else {
-                    unreachable!("multi-core workloads are named (validated at decode)");
-                };
-                let seed =
-                    seed.unwrap_or_else(|| find_multicore(name).expect("validated").default_seed());
-                let _ = write!(s, "w=named:{name}:{seed}");
-            }
-        }
+        s.push_str(&self.workload_fragment());
         let _ = write!(
             s,
             ";s={};o={:?}",
@@ -615,6 +600,54 @@ impl JobSpec {
         s
     }
 
+    /// The workload's canonical fragment, `w=...`: the first field of
+    /// [`canonical`](Self::canonical) and of
+    /// [`profile_key`](Self::profile_key).
+    fn workload_fragment(&self) -> String {
+        // The fragment is rendered by the source itself and is
+        // byte-compatible with the historical two-variant rendering
+        // (pinned by `tests/spec_goldens.rs`), so pre-redesign cache
+        // addresses and job ids survive unchanged. Multi-core jobs
+        // resolve their default seed in the multicore registry instead
+        // (an omitted seed and the written-out default must share one
+        // cache line there too).
+        match self.cores {
+            None => self.workload.canonical_fragment(),
+            Some(_) => {
+                let WorkloadSource::Named { name, seed } = &self.workload else {
+                    unreachable!("multi-core workloads are named (validated at decode)");
+                };
+                let seed =
+                    seed.unwrap_or_else(|| find_multicore(name).expect("validated").default_seed());
+                format!("w=named:{name}:{seed}")
+            }
+        }
+    }
+
+    /// The key of this job's profiling pass: the workload's canonical
+    /// fragment plus the core count, `w=...;n=<cores>` — everything the
+    /// pass reads. Specs that differ only in structure, target, faults
+    /// or metrics share a key, and so can share one pass (a `/v1/batch`
+    /// profiles each distinct key once). The collapses of
+    /// [`canonical`](Self::canonical) hold: an omitted seed and the
+    /// written-out default share a key, and so do `"cores": 1` and no
+    /// `cores`.
+    ///
+    /// `None` — always profile for yourself — for a `deadline_cycles`
+    /// spec, whose 504 reports the cycle its *own* budget cut the pass
+    /// at, and for a `chaos_panic` spec, which never profiles.
+    #[must_use]
+    pub fn profile_key(&self) -> Option<String> {
+        if self.deadline_cycles.is_some() || self.chaos_panic {
+            return None;
+        }
+        Some(format!(
+            "{};n={}",
+            self.workload_fragment(),
+            self.cores.unwrap_or(1)
+        ))
+    }
+
     /// Whether this job's result may be served from the cache.
     /// `chaos_panic` jobs exist to *exercise* the worker path — caching
     /// them would defeat the chaos battery's exactly-once accounting —
@@ -668,25 +701,54 @@ impl JobSpec {
     /// Panics when the spec set `chaos_panic` — the documented chaos
     /// hook; the server's `catch_unwind` isolation turns it into a 500.
     pub fn run_with(&self, traces: &dyn TraceResolver) -> Result<JobOutput, JobRunError> {
+        self.run_sharing(traces, &OnceLock::new())
+    }
+
+    /// [`run_with`](Self::run_with), taking its profiling pass from
+    /// `pass`: the single-flight cell of this spec's
+    /// [`profile_key`](Self::profile_key), shared by the `/v1/batch`
+    /// elements with that key. The first caller profiles the workload
+    /// instance it built and runs that same instance; later callers
+    /// build a fresh instance and run only the mapped run. A pass that
+    /// panics leaves the cell empty, so the next caller profiles. A
+    /// `deadline_cycles` spec profiles under its own budget — its cell
+    /// is always private.
+    pub(crate) fn run_sharing(
+        &self,
+        traces: &dyn TraceResolver,
+        pass: &OnceLock<ProfilePass>,
+    ) -> Result<JobOutput, JobRunError> {
         assert!(
             !self.chaos_panic,
             "chaos_panic: injected worker panic (test hook)"
         );
-        let structure = self.structure.structure();
-        let mut builder = match self.cores {
-            None => RunBuilder::new().workload_boxed(self.workload.build(traces)?),
+        let mut workload: Box<dyn MultiWorkload> = match self.cores {
+            None => Box::new(SingleCore::new(self.workload.build(traces)?)),
             Some(cores) => {
                 let WorkloadSource::Named { name, seed } = &self.workload else {
                     unreachable!("multi-core workloads are named (validated at decode)");
                 };
-                let entry = find_multicore(name).expect("validated at decode");
-                RunBuilder::new()
-                    .workload_multi_boxed(entry.build(cores, *seed))
-                    .cores(cores)
+                find_multicore(name)
+                    .expect("validated at decode")
+                    .build(cores, *seed)
             }
-        }
-        .structure(&structure, self.structure)
-        .optimize(self.optimize);
+        };
+        let pass = match self.deadline_cycles {
+            Some(deadline) => {
+                let own = try_profile_multi_workload(workload.as_mut(), Some(deadline))?;
+                pass.get_or_init(|| own)
+            }
+            None => pass.get_or_init(|| {
+                try_profile_multi_workload(workload.as_mut(), None)
+                    .expect("a pass without a deadline is never cut")
+            }),
+        };
+        let structure = self.structure.structure();
+        let mut builder = RunBuilder::new()
+            .workload_multi_boxed(workload)
+            .structure(&structure, self.structure)
+            .optimize(self.optimize)
+            .profile_pass(pass);
         if let Some(faults) = &self.faults {
             builder = builder.faults(faults.clone());
         }

@@ -11,7 +11,7 @@
 //! | endpoint | does |
 //! |---|---|
 //! | `POST /v1/run` | one job → one report |
-//! | `POST /v1/batch` | array of jobs → array of reports, fanned out over the worker pool, merged in input order |
+//! | `POST /v1/batch` | array of jobs → array of reports, fanned out over the worker pool, merged in input order; jobs on one workload share one profiling pass |
 //! | `POST /v1/jobs` | submit a job asynchronously → `202` + deterministic content-addressed job id |
 //! | `GET /v1/jobs/{id}` | poll a job: state while pending, the terminal report once finished |
 //! | `DELETE /v1/jobs/{id}` | cancel a queued job (running/finished → `409`) |

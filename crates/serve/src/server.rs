@@ -15,7 +15,8 @@
 //! over `ftspm_testkit::par` with the same worker count, so the
 //! ordered seed-substream discipline that makes campaign sharding
 //! deterministic also makes `/v1/batch` bodies identical at every pool
-//! size.
+//! size. The elements of one batch that share a
+//! [`JobSpec::profile_key`] share one profiling pass.
 //!
 //! Every execution path — `/v1/run`, `/v1/batch` elements, and job
 //! runners — goes through the content-addressed result cache
@@ -36,17 +37,17 @@
 //! every claimable job, and joins all threads. Dropping the server does
 //! the same.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ftspm_harness::RunError;
+use ftspm_harness::{ProfilePass, RunError};
 use ftspm_obs::MetricsRegistry;
 use ftspm_testkit::par;
 
@@ -502,7 +503,7 @@ fn job_runner_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let (status, body) = run_cached(&spec, shared);
+        let (status, body) = run_cached(&spec, shared, &OnceLock::new());
         relock(&shared.jobs).finish(&id, status, body);
     }
 }
@@ -606,15 +607,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one spec under `catch_unwind`: the worker thread survives any
-/// panic inside the harness or a `chaos_panic` hook, and a deadline
+/// Runs one spec under `catch_unwind`, profiling through `pass` (see
+/// [`JobSpec::profile_key`]): the worker thread survives any panic
+/// inside the harness or a `chaos_panic` hook, and a deadline
 /// cancellation comes back as data. `AssertUnwindSafe` is sound here
 /// because the closure owns everything it touches — the spec is read
-/// only, the resolver only clones `Arc`s out of the trace table, and
-/// all run state is constructed, used, and dropped inside.
-fn execute_spec(spec: &JobSpec, shared: &Shared) -> ExecOutcome {
+/// only, the resolver only clones `Arc`s out of the trace table, all
+/// run state is constructed, used, and dropped inside, and a pass that
+/// panics leaves `pass` empty (`OnceLock` is only ever written whole).
+fn execute_spec(spec: &JobSpec, shared: &Shared, pass: &OnceLock<ProfilePass>) -> ExecOutcome {
     let traces = SharedTraces(shared);
-    match catch_unwind(AssertUnwindSafe(|| spec.run_with(&traces))) {
+    match catch_unwind(AssertUnwindSafe(|| spec.run_sharing(&traces, pass))) {
         Ok(Ok(output)) => ExecOutcome::Done(output),
         Ok(Err(JobRunError::Run(RunError::DeadlineExceeded {
             deadline_cycles,
@@ -640,8 +643,9 @@ fn execute_spec(spec: &JobSpec, shared: &Shared) -> ExecOutcome {
 /// a fresh run would produce. A miss counts `serve.cache.miss`, runs,
 /// and caches any non-panic outcome; panics are never cached (there is
 /// no deterministic result to replay) and `chaos_panic` specs bypass
-/// the cache entirely.
-fn run_cached(spec: &JobSpec, shared: &Shared) -> (u16, String) {
+/// the cache entirely. A hit never touches `pass`; a miss profiles
+/// through it.
+fn run_cached(spec: &JobSpec, shared: &Shared, pass: &OnceLock<ProfilePass>) -> (u16, String) {
     let key = spec.cacheable().then(|| CacheKey::of(&spec.canonical()));
     if let Some(key) = key {
         if let Some(hit) = relock(&shared.cache).get(key) {
@@ -652,7 +656,7 @@ fn run_cached(spec: &JobSpec, shared: &Shared) -> (u16, String) {
         }
         relock(&shared.registry).incr("serve.cache.miss");
     }
-    let outcome = execute_spec(spec, shared);
+    let outcome = execute_spec(spec, shared, pass);
     let status = outcome.status();
     let job_registry = match &outcome {
         ExecOutcome::Done(output) => output.registry.as_ref(),
@@ -722,7 +726,7 @@ fn run_one(body: &[u8], shared: &Shared) -> Response {
         Ok(spec) => spec,
         Err(e) => return job_error_response(&e),
     };
-    let (status, body) = run_cached(&spec, shared);
+    let (status, body) = run_cached(&spec, shared, &OnceLock::new());
     Response::json_status(status, body)
 }
 
@@ -865,9 +869,15 @@ fn run_batch(body: &[u8], shared: &Shared) -> Response {
     // panic isolation and through the result cache — a panicking or
     // deadline-killed job renders its typed error object in place
     // while its neighbours report normally, and a cached element
-    // replays bytes identical to a fresh run.
-    let results = par::par_map_threads(shared.config.workers, specs, |spec| {
-        run_cached(&spec, shared).1
+    // replays bytes identical to a fresh run. Elements that share a
+    // profile key share one profiling pass: the pass reads only the
+    // workload and its core count, so the bytes cannot tell. Each
+    // element owns a handle on its cell and drops it when done, so a
+    // pass is freed once the last element that needs it has run.
+    let cells = profile_cells(&specs);
+    let elements = specs.into_iter().zip(cells).collect();
+    let results = par::par_map_threads(shared.config.workers, elements, |(spec, cell)| {
+        run_cached(&spec, shared, &cell).1
     });
     let mut merged = String::from("[");
     for (i, body) in results.iter().enumerate() {
@@ -878,6 +888,21 @@ fn run_batch(body: &[u8], shared: &Shared) -> Response {
     }
     merged.push(']');
     Response::json(merged)
+}
+
+/// Single-flight profiling for one batch: each spec's handle on its
+/// profiling cell. Specs with one [`JobSpec::profile_key`] share a cell;
+/// a keyless spec gets a private one. A cell — and the pass in it —
+/// lives as long as the last handle on it.
+fn profile_cells<T>(specs: &[JobSpec]) -> Vec<Arc<OnceLock<T>>> {
+    let mut by_key: HashMap<String, Arc<OnceLock<T>>> = HashMap::new();
+    specs
+        .iter()
+        .map(|spec| match spec.profile_key() {
+            Some(key) => Arc::clone(by_key.entry(key).or_default()),
+            None => Arc::default(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -910,6 +935,140 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(f));
         std::panic::set_hook(previous);
         result.unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
+
+    /// Single-flight: elements that share a profile key run one pass
+    /// between them at any thread count, keyless elements each run
+    /// their own, and the cells group elements as `profile_key` says.
+    #[test]
+    fn a_batch_profiles_each_distinct_key_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let specs: Vec<JobSpec> = [
+            r#"{"workload": "crc32"}"#,
+            r#"{"workload": "crc32", "optimize": "power"}"#,
+            r#"{"workload": "crc32", "structure": "pure_stt", "cores": 1}"#,
+            r#"{"workload": "crc32", "deadline_cycles": 100}"#,
+            r#"{"workload": "sha"}"#,
+            r#"{"workload": "reduction", "cores": 2}"#,
+            r#"{"workload": "reduction", "cores": 2, "metrics": true}"#,
+            r#"{"workload": "reduction", "cores": 4}"#,
+            r#"{"workload": "crc32", "chaos_panic": true}"#,
+            r#"{"workload": "sha", "faults": {"seed": 1, "mean_cycles_between_strikes": 9.0}}"#,
+        ]
+        .iter()
+        .map(|body| JobSpec::parse(body.as_bytes()).expect("decodes"))
+        .collect();
+        // Elements 0-2 share a cell, 4 and 9, 5 and 6; the rest are alone.
+        let groups = [0, 0, 0, 1, 2, 3, 3, 4, 5, 2];
+        let cells = profile_cells::<usize>(&specs);
+        for (i, a) in cells.iter().enumerate() {
+            for (j, b) in cells.iter().enumerate() {
+                assert_eq!(Arc::ptr_eq(a, b), groups[i] == groups[j], "{i} vs {j}");
+            }
+        }
+        for threads in [1, 2, 8] {
+            let passes = AtomicUsize::new(0);
+            let seen = par::par_map_threads(
+                NonZeroUsize::new(threads).expect("nonzero"),
+                profile_cells::<usize>(&specs),
+                |cell| *cell.get_or_init(|| passes.fetch_add(1, Ordering::SeqCst)),
+            );
+            // 4 distinct keys + 2 keyless specs.
+            assert_eq!(passes.load(Ordering::SeqCst), 6, "threads={threads}");
+            for (i, pass) in seen.iter().enumerate() {
+                let first = groups
+                    .iter()
+                    .position(|g| *g == groups[i])
+                    .expect("own group");
+                assert_eq!(*pass, seen[first], "element {i}, threads={threads}");
+            }
+        }
+        // Forced contention: one element per thread, all on one key, and
+        // the pass does not finish until every element has arrived, so
+        // the others meet it running rather than finished.
+        for threads in [2, 8] {
+            let specs: Vec<JobSpec> = (0..threads)
+                .map(|i| {
+                    let body = format!(r#"{{"workload": "crc32", "metrics": {}}}"#, i % 2 == 0);
+                    JobSpec::parse(body.as_bytes()).expect("decodes")
+                })
+                .collect();
+            let (arrived, passes) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            par::par_map_threads(
+                NonZeroUsize::new(threads).expect("nonzero"),
+                profile_cells::<()>(&specs),
+                |cell| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    cell.get_or_init(|| {
+                        let start = std::time::Instant::now();
+                        while arrived.load(Ordering::SeqCst) < threads {
+                            assert!(start.elapsed() < Duration::from_secs(30), "stuck");
+                            std::thread::yield_now();
+                        }
+                        passes.fetch_add(1, Ordering::SeqCst);
+                    });
+                },
+            );
+            assert_eq!(passes.load(Ordering::SeqCst), 1, "threads={threads}");
+        }
+    }
+
+    /// A pass is freed as soon as the last element of its key has run,
+    /// not when the batch ends: a batch over many workloads holds only
+    /// the passes its unfinished elements still need.
+    #[test]
+    fn a_pass_is_freed_after_the_last_element_of_its_key() {
+        let specs: Vec<JobSpec> = [
+            r#"{"workload": "crc32"}"#,
+            r#"{"workload": "crc32", "structure": "pure_sram"}"#,
+            r#"{"workload": "sha"}"#,
+            r#"{"workload": "sha", "optimize": "power"}"#,
+            r#"{"workload": "qsort"}"#,
+        ]
+        .iter()
+        .map(|body| JobSpec::parse(body.as_bytes()).expect("decodes"))
+        .collect();
+        let cells = profile_cells::<Vec<u8>>(&specs);
+        let weak: Vec<_> = cells.iter().map(Arc::downgrade).collect();
+        let last_of = [1, 1, 3, 3, 4];
+        let elements: Vec<_> = cells.into_iter().enumerate().collect();
+        par::par_map_threads(NonZeroUsize::MIN, elements, |(i, cell)| {
+            cell.get_or_init(|| vec![0; 1 << 20]);
+            for (j, w) in weak.iter().enumerate() {
+                assert_eq!(
+                    w.upgrade().is_none(),
+                    last_of[j] < i,
+                    "cell {j} at element {i}"
+                );
+            }
+        });
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
+    }
+
+    /// A pass that panics leaves its cell empty: the panicking element
+    /// answers its typed 500, and the next element with the key
+    /// profiles afresh — and reports exactly what `run_with` does —
+    /// instead of finding a half-written pass.
+    #[test]
+    fn a_panicking_pass_leaves_the_cell_for_the_next_element() {
+        with_quiet_panics(|| {
+            let server = boot(1);
+            let cell: OnceLock<ProfilePass> = OnceLock::new();
+            let first = catch_unwind(AssertUnwindSafe(|| {
+                cell.get_or_init(|| panic!("profiling pass panicked"));
+            }));
+            assert!(first.is_err());
+            assert!(cell.get().is_none(), "a panicked pass stores nothing");
+            let spec = JobSpec::parse(br#"{"workload": "crc32"}"#).expect("decodes");
+            let ExecOutcome::Done(output) = execute_spec(&spec, &server.shared, &cell) else {
+                panic!("the next element runs normally");
+            };
+            assert!(
+                cell.get().is_some(),
+                "the next element profiled into the cell"
+            );
+            assert_eq!(output.body, spec.run().expect("runs").body);
+        });
     }
 
     #[test]

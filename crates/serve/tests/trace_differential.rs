@@ -164,3 +164,60 @@ fn unknown_trace_ids_answer_422_and_are_never_cached() {
     assert!(csv.contains("trace.unresolved,counter,,1"), "{csv}");
     assert!(csv.contains("serve.malformed.422,counter,,1"), "{csv}");
 }
+
+/// Replay and fit elements of one uploaded trace under every structure
+/// and two targets, in one batch: the replays share one profiling pass
+/// and the fits another, and the served batch is still the input-order
+/// concatenation of in-process `run_with` bodies — at one worker and at
+/// `FTSPM_THREADS`, on the first send and on a cached second send.
+#[test]
+fn a_trace_sweep_batch_is_the_concatenation_of_in_process_bodies() {
+    let (bytes, id) = recorded_kernel();
+    let mut table = TraceTable::new(4);
+    let (trace, _tail) = ftspm_trace::Trace::decode(&bytes).expect("own encoding decodes");
+    table.insert(id, Arc::new(trace));
+    let mut jobs = Vec::new();
+    for kind in ["trace", "fit"] {
+        for structure in ["ftspm", "pure_sram", "pure_stt"] {
+            for optimize in ["reliability", "power"] {
+                jobs.push(format!(
+                    r#"{{"workload": {{"{kind}": "{id}"}}, "structure": "{structure}",
+                        "optimize": "{optimize}"}}"#
+                ));
+            }
+        }
+    }
+    let singles: Vec<String> = jobs
+        .iter()
+        .map(|body| {
+            JobSpec::parse(body.as_bytes())
+                .expect("decodes")
+                .run_with(&table)
+                .expect("runs")
+                .body
+        })
+        .collect();
+    let expected = format!("[{}]", singles.join(","));
+    let batch_body = format!("[{}]", jobs.join(","));
+
+    for workers in [1, par::thread_count().get()] {
+        let server = serve_at(workers);
+        let upload = http_request(server.addr(), "POST", "/v1/traces", &bytes).expect("upload");
+        assert_eq!(upload.status, 200, "{}", upload.body_str());
+        for send in ["first", "cached"] {
+            let reply = http_request(server.addr(), "POST", "/v1/batch", batch_body.as_bytes())
+                .expect("batch request");
+            assert_eq!(reply.status, 200, "{}", reply.body_str());
+            assert_eq!(
+                reply.body_str(),
+                expected,
+                "trace sweep diverged (workers={workers}, {send} send)"
+            );
+        }
+        let metrics = http_request(server.addr(), "GET", "/metrics", b"").expect("metrics");
+        let csv = metrics.body_str();
+        assert!(csv.contains("serve.cache.hit,counter,,12"), "{csv}");
+        assert!(csv.contains("trace.replayed,counter,,12"), "{csv}");
+        assert!(csv.contains("trace.fitted,counter,,12"), "{csv}");
+    }
+}
