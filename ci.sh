@@ -103,11 +103,13 @@ for threads in 1 "$(nproc)"; do
     rm -rf "$CRASH_DIR"
 done
 
-# Armed-idle budget (DESIGN.md §12): a run with the injector armed but
-# idle must cost within 5% of a clean run. Timing-sensitive, so it is
-# `#[ignore]`d under plain `cargo test` and runs release-mode here.
+# Release-mode budgets. Armed-idle (DESIGN.md §12): a run with the
+# injector armed but idle must cost within 5% of a clean run. Recorder
+# (§10): a run with the recorder a `"metrics": true` job attaches must
+# cost at most 1.3x the same run without one. Timing-sensitive, so both
+# are `#[ignore]`d under plain `cargo test` and run release-mode here.
 $TIMEOUT cargo test -q --offline --release \
-    -p ftspm-bench --test armed_idle_guard -- --ignored
+    -p ftspm-bench --test armed_idle_guard --test recorder_budget -- --ignored
 
 # The multicore bench case must land its JSON artifact (the hub's cost
 # is tracked, not guessed).

@@ -7,12 +7,20 @@
 //! The clean case doubles as the observability-off regression guard:
 //! `RunBuilder` without a recorder runs against `NullObserver`, so its
 //! time bounds the cost of the observer indirection itself.
+//! `case_study/recorder` and the `*/faulted_recorder` cases price the
+//! observability-on path: the recorder a served `"metrics": true` job
+//! attaches, on the served faulted design point of two suite kernels.
 
 use ftspm_core::mda::run_mda;
 use ftspm_core::{OptimizeFor, RegionRole, SpmStructure};
+use ftspm_ecc::MbuDistribution;
 use ftspm_harness::{profile_workload, LiveFaultOptions, RunBuilder, StructureKind};
+use ftspm_obs::Recorder;
 use ftspm_testkit::{black_box, BenchGroup};
-use ftspm_workloads::{CaseStudy, Workload};
+use ftspm_workloads::{find, CaseStudy, Workload};
+
+/// Trace capacity of the recorder a served `"metrics": true` job uses.
+const SERVED_TRACE_CAPACITY: usize = 256;
 
 /// Whole-simulation bodies: keep the fixed counts small, like
 /// `end_to_end.rs` does.
@@ -41,6 +49,20 @@ fn main() {
                 .profile(&profile)
                 .run(),
         )
+    });
+
+    g.bench("case_study/recorder", || {
+        let mut rec = Recorder::recovery_only(SERVED_TRACE_CAPACITY);
+        black_box(
+            RunBuilder::new()
+                .workload(&mut w)
+                .structure(&structure, StructureKind::Ftspm)
+                .mapping(mapping.clone())
+                .profile(&profile)
+                .recorder(&mut rec)
+                .run(),
+        );
+        black_box(rec.into_parts())
     });
 
     // Fault machinery armed but no strikes ever due: measures the fixed
@@ -78,6 +100,43 @@ fn main() {
                     .run(),
             )
         });
+    }
+
+    // The served faulted design point (`loadbench`'s `design_sweep`):
+    // single-bit strikes every 20 000 cycles on average, with and
+    // without the recorder `"metrics": true` attaches.
+    for kernel in ["crc32", "susan"] {
+        let entry = find(kernel).expect("suite kernel");
+        let mut w = entry.build(None);
+        let profile = profile_workload(w.as_mut());
+        let mapping = run_mda(
+            w.program(),
+            &profile,
+            &structure,
+            &OptimizeFor::Reliability.thresholds(),
+        );
+        let faults = LiveFaultOptions::builder(entry.default_seed().unwrap_or(0), 20_000.0)
+            .mbu(MbuDistribution::new(1.0, 0.0, 0.0, 0.0))
+            .build()
+            .expect("valid fault options");
+        for recorded in [false, true] {
+            let suffix = if recorded { "_recorder" } else { "" };
+            g.bench(&format!("{kernel}/faulted{suffix}"), || {
+                let b = RunBuilder::new()
+                    .workload(w.as_mut())
+                    .structure(&structure, StructureKind::Ftspm)
+                    .mapping(mapping.clone())
+                    .profile(&profile)
+                    .faults(faults.clone());
+                if recorded {
+                    let mut rec = Recorder::recovery_only(SERVED_TRACE_CAPACITY);
+                    black_box(b.recorder(&mut rec).run());
+                    black_box(rec.into_parts());
+                } else {
+                    black_box(b.run());
+                }
+            });
+        }
     }
     g.finish();
 }

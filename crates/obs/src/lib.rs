@@ -16,7 +16,7 @@
 //! When observability is off, the harness passes an
 //! [`ftspm_sim::NullObserver`] instead: every hook is an empty inlined
 //! body, so the simulator's hot loop pays only a devirtualizable call —
-//! the `injected_run` bench pins this under its regression budget.
+//! the `injected_run` bench prices it (DESIGN.md §10, "Overhead budget").
 //!
 //! Everything here is a pure function of the simulated event stream —
 //! no wall clocks, no host state — which is what makes the exports

@@ -57,6 +57,75 @@ const CORE_SHARED_EXPOSURES: [&str; 8] = [
 /// Bucket bounds for the DMA burst-size histogram (words per burst).
 pub const DMA_BURST_BOUNDS: &[u64] = &[1, 8, 16, 32, 64, 128, 256];
 
+/// The counters [`Recorder::on_access`] bumps for ordinary and DMA
+/// traffic. They live in plain fields, not in the registry, because a
+/// `BTreeMap` update per program access would dominate a counted run.
+/// Each slot's registry name is [`SLOT_NAMES`]`[slot]`.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    AccessFetch,
+    AccessRead,
+    AccessWrite,
+    TargetSpm,
+    TargetICacheHit,
+    TargetICacheMiss,
+    TargetDCacheHit,
+    TargetDCacheMiss,
+    DmaBursts,
+    DmaWords,
+}
+
+const SLOT_NAMES: [&str; 10] = [
+    "access.fetch",
+    "access.read",
+    "access.write",
+    "target.spm",
+    "target.icache_hit",
+    "target.icache_miss",
+    "target.dcache_hit",
+    "target.dcache_miss",
+    "dma.bursts",
+    "dma.words",
+];
+
+impl Slot {
+    fn of_target(target: Target) -> Self {
+        match target {
+            Target::Region(_) => Self::TargetSpm,
+            Target::ICache { hit: true } => Self::TargetICacheHit,
+            Target::ICache { hit: false } => Self::TargetICacheMiss,
+            Target::DCache { hit: true } => Self::TargetDCacheHit,
+            Target::DCache { hit: false } => Self::TargetDCacheMiss,
+        }
+    }
+}
+
+/// The per-access counter slots, plus a bitmask of the slots bumped
+/// since the last fold — a slot bumped only by `count: 0` events must
+/// still create its registry key, so "a key exists once touched" holds
+/// exactly as if every event had gone to the registry.
+#[derive(Debug, Clone, Default)]
+struct AccessCounters {
+    slots: [u64; SLOT_NAMES.len()],
+    touched: u16,
+}
+
+impl AccessCounters {
+    fn bump(&mut self, slot: Slot, delta: u64) {
+        self.slots[slot as usize] += delta;
+        self.touched |= 1 << slot as usize;
+    }
+
+    /// Adds every touched slot into `registry`.
+    fn fold_into(&self, registry: &mut MetricsRegistry) {
+        for (i, (&name, &value)) in SLOT_NAMES.iter().zip(&self.slots).enumerate() {
+            if self.touched & (1 << i) != 0 {
+                registry.add(name, value);
+            }
+        }
+    }
+}
+
 /// What the recorder keeps in its trace ring. Counters always count
 /// everything; the filter only bounds trace volume — plain accesses on
 /// a hot loop would otherwise evict the rare recovery events the trace
@@ -88,10 +157,15 @@ impl Default for RecorderConfig {
 /// event stream (simulated cycles, counts), never from wall clocks.
 /// Give each parallel shard its own recorder and merge the registries
 /// in input order; see DESIGN.md §10.
+///
+/// Per-access counters (`access.*`, `target.*`, `dma.bursts`,
+/// `dma.words`) are kept in plain fields and folded into the registry
+/// whenever it is read, so the per-access path does no map lookup.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     config: RecorderConfig,
     registry: MetricsRegistry,
+    counters: AccessCounters,
     trace: Trace,
     /// Added to every event cycle, aligning run-relative machine cycles
     /// onto the trace's logical phase timeline.
@@ -110,6 +184,7 @@ impl Recorder {
         Self {
             config,
             registry: MetricsRegistry::new(),
+            counters: AccessCounters::default(),
             trace: Trace::new(config.trace_capacity),
             cycle_offset: 0,
         }
@@ -131,13 +206,18 @@ impl Recorder {
         self.config
     }
 
-    /// The metrics collected so far.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// A snapshot of the metrics collected so far, per-access counters
+    /// included.
+    pub fn registry(&self) -> MetricsRegistry {
+        let mut registry = self.registry.clone();
+        self.counters.fold_into(&mut registry);
+        registry
     }
 
-    /// Mutable registry access (for caller-side counters).
+    /// Mutable registry access (for caller-side counters), with the
+    /// per-access counters folded in.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
+        self.fold();
         &mut self.registry
     }
 
@@ -147,8 +227,21 @@ impl Recorder {
     }
 
     /// Consumes the recorder, yielding its registry and trace.
-    pub fn into_parts(self) -> (MetricsRegistry, Trace) {
+    pub fn into_parts(mut self) -> (MetricsRegistry, Trace) {
+        self.fold();
         (self.registry, self.trace)
+    }
+
+    /// Moves the per-access counters into the registry.
+    fn fold(&mut self) {
+        std::mem::take(&mut self.counters).fold_into(&mut self.registry);
+    }
+
+    /// Counts one program access; returns whether to trace it.
+    fn count_access(&mut self, kind: Slot, event: &AccessEvent) -> bool {
+        self.counters.bump(kind, u64::from(event.count));
+        self.counters.bump(Slot::of_target(event.target), 1);
+        self.config.trace_accesses
     }
 
     /// Records a harness phase span of `duration` logical cycles and
@@ -213,43 +306,21 @@ impl Recorder {
             r.add(CORE_SHARED_EXPOSURES[core], view.shared_exposures);
         }
     }
-
-    fn count_target(&mut self, target: Target) {
-        match target {
-            Target::Region(_) => self.registry.incr("target.spm"),
-            Target::ICache { hit: true } => self.registry.incr("target.icache_hit"),
-            Target::ICache { hit: false } => self.registry.incr("target.icache_miss"),
-            Target::DCache { hit: true } => self.registry.incr("target.dcache_hit"),
-            Target::DCache { hit: false } => self.registry.incr("target.dcache_miss"),
-        }
-    }
 }
 
 impl Observer for Recorder {
     fn on_access(&mut self, event: &AccessEvent) {
         let traced = if event.dma {
-            self.registry.incr("dma.bursts");
-            self.registry.add("dma.words", u64::from(event.count));
+            self.counters.bump(Slot::DmaBursts, 1);
+            self.counters.bump(Slot::DmaWords, u64::from(event.count));
             self.registry
                 .observe("dma.burst_words", DMA_BURST_BOUNDS, u64::from(event.count));
             self.config.trace_dma
         } else {
             match event.kind {
-                AccessKind::Fetch => {
-                    self.registry.add("access.fetch", u64::from(event.count));
-                    self.count_target(event.target);
-                    self.config.trace_accesses
-                }
-                AccessKind::Read => {
-                    self.registry.add("access.read", u64::from(event.count));
-                    self.count_target(event.target);
-                    self.config.trace_accesses
-                }
-                AccessKind::Write => {
-                    self.registry.add("access.write", u64::from(event.count));
-                    self.count_target(event.target);
-                    self.config.trace_accesses
-                }
+                AccessKind::Fetch => self.count_access(Slot::AccessFetch, event),
+                AccessKind::Read => self.count_access(Slot::AccessRead, event),
+                AccessKind::Write => self.count_access(Slot::AccessWrite, event),
                 AccessKind::Correction => {
                     self.registry.incr("recovery.correction");
                     true
