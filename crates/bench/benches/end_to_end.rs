@@ -6,7 +6,7 @@ use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, RegionImage};
 use ftspm_harness::{evaluate_workload, profile_workload};
 use ftspm_testkit::{black_box, par, BenchGroup};
-use ftspm_workloads::{Crc32, QSort, Sha1};
+use ftspm_workloads::{CaseStudy, Crc32, QSort, Sha1, Susan};
 
 /// These bodies run whole simulations; keep the fixed counts small, as
 /// `criterion`'s `sample_size(10)` flat mode did.
@@ -18,6 +18,16 @@ fn main() {
 
     g.bench("profile/crc32", || {
         let mut w = Crc32::new(0xC3C3);
+        black_box(profile_workload(&mut w))
+    });
+    // The two longest profiling passes (the most block entries and data
+    // runs), where a per-reference cost in the profiler shows most.
+    g.bench("profile/susan", || {
+        let mut w = Susan::new(0x5A5A);
+        black_box(profile_workload(&mut w))
+    });
+    g.bench("profile/case_study", || {
+        let mut w = CaseStudy::new();
         black_box(profile_workload(&mut w))
     });
     g.bench("evaluate/qsort", || {

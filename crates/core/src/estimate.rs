@@ -134,7 +134,6 @@ mod tests {
             max_stack_bytes: 0,
             lifetime_cycles: 100,
             first_access: 0,
-            last_access: 100,
         }
     }
 

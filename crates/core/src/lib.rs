@@ -12,7 +12,7 @@
 //!   program blocks by susceptibility subject to performance, energy and
 //!   endurance thresholds ([`MdaThresholds`], [`OptimizeFor`]);
 //! * the **online phase** ([`schedule`]): turning a mapping and the
-//!   profiled access sequence into block transfer commands;
+//!   blocks' profiled first uses into block transfer commands;
 //! * the **reliability model** ([`reliability`]): the paper's AVF
 //!   equations (1)–(7) over the 40 nm MBU distribution; and
 //! * the **endurance model** ([`endurance`]): write-rate → lifetime

@@ -136,7 +136,7 @@ fn scheme_of(
 mod tests {
     use super::*;
     use crate::mda::run_baseline;
-    use ftspm_profile::{AccessSequence, BlockProfile, Profile};
+    use ftspm_profile::{BlockProfile, Profile};
     use ftspm_sim::{BlockKind, Program};
 
     fn program() -> Program {
@@ -164,10 +164,9 @@ mod tests {
                     max_stack_bytes: 0,
                     lifetime_cycles: lifetimes[id.index()],
                     first_access: 0,
-                    last_access: lifetimes[id.index()],
                 })
                 .collect(),
-            sequence: AccessSequence::default(),
+            first_use_order: Vec::new(),
             total_cycles: 1000,
         }
     }

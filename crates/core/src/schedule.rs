@@ -5,7 +5,9 @@
 //! instructions "in proper lines of the code to transfer the blocks at
 //! run-time". This module generates that command list: one map-in at each
 //! block's first use, and one write-back at the end of the run for every
-//! dirty (written) data block.
+//! dirty (written) data block. Of the sequence it needs only each block's
+//! first use, which the profile keeps as [`Profile::first_use_order`] and
+//! [`BlockProfile::first_access`](ftspm_profile::BlockProfile::first_access).
 //!
 //! The simulator executes map-ins lazily on first access — the same
 //! semantics — so the schedule is also a *prediction* that tests validate
@@ -69,27 +71,24 @@ impl Schedule {
     }
 }
 
-/// Builds the transfer schedule for `mapping` from the profiled access
-/// sequence.
+/// Builds the transfer schedule for `mapping` from the profiled
+/// first-use order.
 ///
 /// Only SPM-mapped blocks get commands; a write-back is generated for
 /// data blocks with a non-zero profiled write count (the others are
 /// clean copies).
 pub fn build_schedule(profile: &Profile, mapping: &MdaOutput) -> Schedule {
-    let mut commands = Vec::new();
-    for block in profile.sequence.blocks_in_first_use_order() {
-        let d = mapping.decision(block);
-        if d.decision.role().is_none() {
-            continue;
-        }
-        let before_cycle = profile.sequence.first_use(block).unwrap_or(0);
-        commands.push(TransferCommand::MapIn {
+    let mut commands: Vec<_> = profile
+        .first_use_order
+        .iter()
+        .filter(|&&block| mapping.decision(block).decision.role().is_some())
+        .map(|&block| TransferCommand::MapIn {
             block,
-            before_cycle,
-        });
-    }
-    // Blocks used but never appearing in the sequence (possible for data
-    // blocks only touched via DMA) get no map-in; write-backs follow.
+            before_cycle: profile.block(block).first_access,
+        })
+        .collect();
+    // Blocks never referenced (possible for data blocks only touched via
+    // DMA) get no map-in; write-backs follow.
     for d in &mapping.decisions {
         let mapped_data = matches!(
             d.decision,
@@ -107,7 +106,7 @@ mod tests {
     use super::*;
     use crate::mda::run_baseline;
     use crate::SpmStructure;
-    use ftspm_profile::{AccessSequence, BlockProfile, Episode, Profile};
+    use ftspm_profile::{BlockProfile, Profile};
     use ftspm_sim::Program;
 
     fn fixture() -> (Program, Profile) {
@@ -129,28 +128,17 @@ mod tests {
                 stack_calls: 0,
                 max_stack_bytes: 0,
                 lifetime_cycles: 100,
-                first_access: 0,
-                last_access: 100,
+                first_access: match s.name() {
+                    "B" => 5,
+                    "A" => 9,
+                    _ => 0,
+                },
             })
             .collect();
-        let seq = AccessSequence::new(vec![
-            Episode {
-                block: p.find("F").unwrap(),
-                start_cycle: 0,
-            },
-            Episode {
-                block: p.find("B").unwrap(),
-                start_cycle: 5,
-            },
-            Episode {
-                block: p.find("A").unwrap(),
-                start_cycle: 9,
-            },
-        ]);
         let prof = Profile {
             program: "p".into(),
             blocks,
-            sequence: seq,
+            first_use_order: ["F", "B", "A"].map(|n| p.find(n).unwrap()).to_vec(),
             total_cycles: 200,
         };
         (p, prof)

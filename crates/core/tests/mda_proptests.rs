@@ -4,7 +4,7 @@
 
 use ftspm_core::mda::{run_mda, run_mda_dynamic, MapDecision};
 use ftspm_core::{MdaThresholds, SpmStructure};
-use ftspm_profile::{AccessSequence, BlockProfile, Profile};
+use ftspm_profile::{BlockProfile, Profile};
 use ftspm_sim::{BlockKind, Program};
 use ftspm_testkit::prop::{
     any_bool, check, int_range, vec_of, Config, Strategy, StrategyExt, VecStrategy,
@@ -99,14 +99,13 @@ fn build(blocks: &[RandBlock]) -> (Program, Profile) {
                     rb.map_or(0, |r| r.lifetime)
                 },
                 first_access: 0,
-                last_access: 0,
             }
         })
         .collect();
     let profile = Profile {
         program: "rand".into(),
         blocks: rows,
-        sequence: AccessSequence::default(),
+        first_use_order: Vec::new(),
         total_cycles: 10_000_000,
     };
     (p, profile)

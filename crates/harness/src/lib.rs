@@ -4,7 +4,7 @@
 //!
 //! 1. **Profile** the workload once on an idealised machine
 //!    ([`profiling_structure`]: every block mapped, 1-cycle accesses) to
-//!    obtain the Table I statistics and access sequence;
+//!    obtain the Table I statistics and each block's first use;
 //! 2. run **MDA** (or the baseline mapper) to fix each block's region;
 //! 3. **re-run** the workload on the target structure with that mapping,
 //!    collecting cycles, per-region read/write distributions, dynamic and

@@ -108,7 +108,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Runs the profiling pass: the paper's phase-one static profiling,
-/// producing Table I statistics and the access sequence.
+/// producing Table I statistics and each block's first use.
 ///
 /// # Panics
 ///

@@ -20,17 +20,18 @@
 //! arrays with lifetimes near the whole run but the stack — whose frames
 //! die at each return — with a tiny one.
 //!
-//! The profiler also extracts the block access *sequence* that the online
-//! mapping phase consumes, and the per-block write counts the MDA
-//! endurance step (Algorithm 1, lines 23–27) thresholds against.
+//! The profiler also records each block's first use (its cycle and the
+//! order in which blocks are first referenced), which is all the online
+//! mapping phase extracts from the access sequence, and the per-block
+//! write counts the MDA endurance step (Algorithm 1, lines 23–27)
+//! thresholds against. Everything a profile keeps is O(blocks): nothing
+//! in it grows with the length of the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod profiler;
 mod report;
-mod sequence;
 
 pub use profiler::{BlockProfile, Profile, Profiler};
 pub use report::ProfileTable;
-pub use sequence::{AccessSequence, Episode};

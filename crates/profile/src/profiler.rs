@@ -2,8 +2,6 @@
 
 use ftspm_sim::{AccessEvent, AccessKind, BlockId, BlockKind, Observer, Program};
 
-use crate::sequence::{AccessSequence, Episode};
-
 /// Per-block profiling results — one row of the paper's Table I.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockProfile {
@@ -30,8 +28,6 @@ pub struct BlockProfile {
     pub lifetime_cycles: u64,
     /// Cycle of the first access to the block.
     pub first_access: u64,
-    /// Cycle of the last access to the block.
-    pub last_access: u64,
 }
 
 impl BlockProfile {
@@ -66,15 +62,20 @@ impl BlockProfile {
     }
 }
 
-/// A complete profile of one run: all block rows plus the access sequence.
+/// A complete profile of one run: all block rows plus the blocks'
+/// first-use order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Program name.
     pub program: String,
     /// Per-block rows, in block-id order.
     pub blocks: Vec<BlockProfile>,
-    /// Block access sequence for the online phase.
-    pub sequence: AccessSequence,
+    /// Every referenced block once, in the order of its first reference
+    /// (block entry or start of a data run). The online phase places its
+    /// map-ins in this order; it is recorded rather than derived from
+    /// [`BlockProfile::first_access`] because blocks first used in the
+    /// same cycle tie there.
+    pub first_use_order: Vec<BlockId>,
     /// Total cycles of the profiled run.
     pub total_cycles: u64,
 }
@@ -104,7 +105,6 @@ struct Counters {
     max_stack: u32,
     lifetime: u64,
     first: Option<u64>,
-    last: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +124,7 @@ pub struct Profiler {
     // Data-episode tracking: last data block accessed.
     last_data_block: Option<BlockId>,
     cur_depth: u32,
-    episodes: Vec<Episode>,
+    first_use_order: Vec<BlockId>,
     /// Per data block, per word: cycle of the last access (ACE tracking).
     last_word_access: Vec<Vec<u64>>,
     /// Per data block, per word: whether the word has been accessed.
@@ -151,16 +151,23 @@ impl Profiler {
             active_since: 0,
             last_data_block: None,
             cur_depth: 0,
-            episodes: Vec::new(),
+            first_use_order: Vec::new(),
             last_word_access,
             word_touched,
         }
     }
 
     fn touch(&mut self, block: BlockId, cycle: u64) {
+        self.counters[block.index()].first.get_or_insert(cycle);
+    }
+
+    /// Counts one reference (a block entry or a data run) to `block`.
+    fn reference(&mut self, block: BlockId) {
         let c = &mut self.counters[block.index()];
-        c.first.get_or_insert(cycle);
-        c.last = cycle;
+        if c.references == 0 {
+            self.first_use_order.push(block);
+        }
+        c.references += 1;
     }
 
     /// Accumulates PC residency of the currently active code block up to
@@ -200,14 +207,13 @@ impl Profiler {
                     max_stack_bytes: c.max_stack,
                     lifetime_cycles: lifetime,
                     first_access: c.first.unwrap_or(0),
-                    last_access: c.last,
                 }
             })
             .collect();
         Profile {
             program: program.name().to_string(),
             blocks,
-            sequence: AccessSequence::new(self.episodes),
+            first_use_order: self.first_use_order,
             total_cycles,
         }
     }
@@ -231,12 +237,8 @@ impl Observer for Profiler {
         // Data-block episodes: a maximal run of accesses to one data block.
         if e.kind != AccessKind::Fetch {
             if self.last_data_block != Some(e.block) {
-                self.counters[e.block.index()].references += 1;
+                self.reference(e.block);
                 self.last_data_block = Some(e.block);
-                self.episodes.push(Episode {
-                    block: e.block,
-                    start_cycle: e.cycle,
-                });
             }
             // ACE ("vulnerable interval") accounting per word: the span
             // from the previous access of a word to a *read* of it is time
@@ -261,15 +263,11 @@ impl Observer for Profiler {
         if let Some(top) = self.call_stack.last() {
             self.counters[top.block.index()].stack_calls += 1;
         }
-        self.counters[block.index()].references += 1;
+        self.reference(block);
         self.touch(block, cycle);
         self.call_stack.push(ActiveFrame {
             block,
             depth_before: self.cur_depth,
-        });
-        self.episodes.push(Episode {
-            block,
-            start_cycle: cycle,
         });
     }
 
@@ -361,6 +359,26 @@ mod tests {
     }
 
     #[test]
+    fn first_use_order_follows_first_reference_within_a_cycle() {
+        let p = program();
+        let f = p.find("F").unwrap();
+        let a = p.find("A").unwrap();
+        let mut prof = Profiler::new(&p);
+        // A's run starts in the same cycle as F's entry, but first.
+        prof.on_access(&access(a, AccessKind::Write, 5, 1));
+        prof.on_block_enter(f, 5);
+        prof.on_access(&access(a, AccessKind::Read, 6, 1));
+        prof.on_block_exit(f, 7);
+        prof.on_block_enter(f, 7);
+        prof.on_access(&access(f, AccessKind::Read, 8, 1));
+        let out = prof.finish(&p, 9);
+        assert_eq!(out.first_use_order, vec![a, f], "each once; G never ran");
+        assert_eq!(out.block(a).first_access, 5);
+        assert_eq!(out.block(f).first_access, 5);
+        assert_eq!(out.block(f).references, 3, "two entries + one data run");
+    }
+
+    #[test]
     fn code_lifetime_is_pc_residency() {
         let p = program();
         let f = p.find("F").unwrap();
@@ -427,7 +445,6 @@ mod tests {
             max_stack_bytes: 0,
             lifetime_cycles: 100,
             first_access: 0,
-            last_access: 100,
         };
         assert_eq!(bp.susceptibility(), 500.0);
         assert_eq!(bp.avg_reads_per_reference(), 2.0);

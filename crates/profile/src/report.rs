@@ -68,7 +68,7 @@ impl fmt::Display for ProfileTable<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessSequence, BlockProfile};
+    use crate::BlockProfile;
     use ftspm_sim::{BlockId, BlockKind};
 
     fn profile() -> Profile {
@@ -86,9 +86,8 @@ mod tests {
                 max_stack_bytes: 348,
                 lifetime_cycles: 999,
                 first_access: 0,
-                last_access: 999,
             }],
-            sequence: AccessSequence::default(),
+            first_use_order: Vec::new(),
             total_cycles: 1000,
         }
     }

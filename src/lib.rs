@@ -16,7 +16,7 @@
 //! * [`sim`] — the cycle-accurate embedded memory-hierarchy simulator
 //!   (FaCSim substitute): L1 caches, SPM regions, DMA, DRAM,
 //! * [`profile`] — the Table I profiler (reads/writes/references/ACE
-//!   lifetimes/stack statistics, block access sequence),
+//!   lifetimes/stack statistics, each block's first use),
 //! * [`core`] — the paper's contribution: hybrid structure, MDA
 //!   (Algorithm 1), transfer scheduling, AVF reliability model,
 //!   endurance model,
