@@ -69,13 +69,32 @@ TRACE_DIR="$(mktemp -d)"
 "$PWD/target/release/repro" trace diff "$TRACE_DIR/k.trc" > /dev/null
 rm -rf "$TRACE_DIR"
 
+REPRO="$PWD/target/release/repro"
+
+# `repro all` byte-identity: its stdout and every CSV it writes must match
+# the committed record (results/repro_all.txt and results/*.csv) at a
+# 1-thread and an nproc-sized pool. A change that moves a reported number
+# regenerates the record in the same commit.
+RESULTS="$PWD/results"
+for threads in 1 "$(nproc)"; do
+    ALL_DIR="$(mktemp -d)"
+    (
+        cd "$ALL_DIR"
+        FTSPM_THREADS="$threads" $TIMEOUT "$REPRO" all > stdout.txt 2> /dev/null
+        cmp stdout.txt "$RESULTS/repro_all.txt"
+        for csv in suite multicore recovery table1; do
+            cmp "results/$csv.csv" "$RESULTS/$csv.csv"
+        done
+    )
+    rm -rf "$ALL_DIR"
+done
+
 # Kill-then-resume byte-identity (DESIGN.md §13): run the journaled
 # recovery sweep, abort it after 3 durable appends
 # (FTSPM_JOURNAL_CRASH_AFTER is a SIGKILL stand-in: std::process::abort,
 # no unwinding), resume, and require stdout + every artifact
 # byte-identical to an uninterrupted journaled run at the same thread
 # count.
-REPRO="$PWD/target/release/repro"
 for threads in 1 "$(nproc)"; do
     CRASH_DIR="$(mktemp -d)"
     (

@@ -45,22 +45,6 @@ pub enum SimError {
     UnknownRegion(RegionId),
     /// The program declares no stack block but a stack operation ran.
     NoStackBlock,
-    /// A strike targeted a word offset outside its region.
-    StrikeOutOfRange {
-        /// The struck region.
-        region: RegionId,
-        /// The offending byte offset.
-        offset: u32,
-        /// The region's capacity in bytes.
-        bytes: u32,
-    },
-    /// A strike was malformed: unaligned word offset or zero flipped bits.
-    BadStrike {
-        /// The strike's byte offset.
-        offset: u32,
-        /// The strike's flipped-bit count.
-        flipped_bits: u32,
-    },
     /// The machine's cycle budget ([`crate::MachineConfig::deadline_cycles`])
     /// was exhausted: the access that would have run at or past the
     /// deadline is refused instead of executed, so a runaway workload is
@@ -103,21 +87,6 @@ impl fmt::Display for SimError {
             ),
             SimError::UnknownRegion(r) => write!(f, "placement references unknown region {r:?}"),
             SimError::NoStackBlock => write!(f, "program has no stack block"),
-            SimError::StrikeOutOfRange {
-                region,
-                offset,
-                bytes,
-            } => write!(
-                f,
-                "strike offset {offset} outside region {region:?} of {bytes} B"
-            ),
-            SimError::BadStrike {
-                offset,
-                flipped_bits,
-            } => write!(
-                f,
-                "malformed strike: offset {offset}, {flipped_bits} flipped bits"
-            ),
             SimError::DeadlineExceeded {
                 cycle,
                 deadline_cycles,

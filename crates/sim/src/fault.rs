@@ -132,8 +132,10 @@ pub(crate) fn stored_bits(scheme: ProtectionScheme) -> u32 {
     }
 }
 
-/// Folds a codeword flip mask onto the 32 data-bit positions (the same
-/// `bit % 32` clamp [`crate::Machine::inject_strike`] applies).
+/// Folds a codeword flip mask onto the 32 data-bit positions: check-bit
+/// flip `32 + k` lands on data bit `k`. This is how an SDC-class strike
+/// corrupts stored data, on a program access's decode and on a DMA
+/// writeback's flush alike.
 pub(crate) fn fold_data_mask(mask: u64) -> u32 {
     (mask & 0xFFFF_FFFF) as u32 | (mask >> 32) as u32
 }

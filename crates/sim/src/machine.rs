@@ -3,7 +3,7 @@
 use ftspm_ecc::{ErrorClass, ProtectionScheme};
 use ftspm_mem::{Clock, Technology};
 
-use crate::cache::{Cache, CoherenceState};
+use crate::cache::{Cache, CacheAccess, CoherenceState};
 use crate::fault::{fold_data_mask, stored_bits, FaultConfig, FaultState, FaultStats};
 use crate::observer::{
     AccessEvent, AccessKind, Observer, QuarantineCause, QuarantineEvent, RemapEvent, Target,
@@ -138,12 +138,13 @@ pub struct Machine {
     dram: Dram,
     cycle: u64,
     instructions: u64,
-    resident: Vec<bool>,
+    /// Each block's SPM slot `(region, byte offset)` while it is mapped
+    /// in: set by the DMA fill, cleared by eviction or remap, `None` for
+    /// off-chip and not-yet-filled blocks.
+    slot: Vec<Option<(crate::RegionId, u32)>>,
     dirty: Vec<bool>,
     /// Non-DMA (program) reads/writes per region.
     program_rw: Vec<(u64, u64)>,
-    /// Run-time offset of each dynamically-placed resident block.
-    dyn_offset: Vec<Option<u32>>,
     /// Cycle of the last access per block (dynamic-eviction LRU).
     last_access: Vec<u64>,
     /// Per-region free lists for the dynamic pools.
@@ -305,10 +306,9 @@ impl Machine {
             dram,
             cycle: 0,
             instructions: 0,
-            resident: vec![false; n],
+            slot: vec![None; n],
             dirty: vec![false; n],
             program_rw: vec![(0, 0); n_regions],
-            dyn_offset: vec![None; n],
             last_access: vec![0; n],
             dyn_free,
             dyn_evictions: vec![0; n_regions],
@@ -640,6 +640,22 @@ impl Machine {
         }
     }
 
+    /// The head every program access shares, after its own deadline,
+    /// bounds and kind checks: records the active core as a sharer, lands
+    /// any due fault events, and resolves the block's slot.
+    #[inline]
+    fn enter(
+        &mut self,
+        block: BlockId,
+        observer: &mut dyn Observer,
+    ) -> Option<(crate::RegionId, u32)> {
+        self.coh_touch(block);
+        if self.cycle >= self.fault_gate {
+            self.fault_tick(observer);
+        }
+        self.ensure_resident(block, observer)
+    }
+
     /// Resolves `block` to its current SPM slot, performing the lazy
     /// map-in DMA (and, for dynamic blocks, allocation plus any LRU
     /// evictions) if needed. Returns `None` for off-chip blocks.
@@ -649,28 +665,25 @@ impl Machine {
         observer: &mut dyn Observer,
     ) -> Option<(crate::RegionId, u32)> {
         self.last_access[block.index()] = self.cycle;
-        match self.placement.placement(block) {
-            Placement::OffChip => None,
-            Placement::Spm { region, offset } => {
-                if !self.resident[block.index()] {
-                    self.dma_fill(block, region, offset, observer);
-                }
-                Some((region, offset))
-            }
-            Placement::Dynamic { region } => {
-                if self.resident[block.index()] {
-                    return Some((region, self.dyn_offset[block.index()].expect("resident")));
-                }
-                let size = self.program.block(block).size_bytes();
-                let offset = self.dyn_allocate(block, region, size, observer);
-                self.dma_fill(block, region, offset, observer);
-                self.dyn_offset[block.index()] = Some(offset);
-                Some((region, offset))
-            }
+        if let Some(slot) = self.slot[block.index()] {
+            return Some(slot);
         }
+        let (region, offset) = match self.placement.placement(block) {
+            Placement::OffChip => return None,
+            Placement::Spm { region, offset } => (region, offset),
+            Placement::Dynamic { region } => {
+                let size = self.program.block(block).size_bytes();
+                (region, self.dyn_allocate(block, region, size, observer))
+            }
+        };
+        self.dma_fill(block, region, offset, observer);
+        Some((region, offset))
     }
 
-    /// DMA copy of a block's home copy into its SPM slot.
+    /// DMA copy of a block's home copy into its SPM slot. Kept out of
+    /// line: fills are rare, and inlined into [`Machine::ensure_resident`]
+    /// (its only caller) it would weigh down the call every access makes.
+    #[inline(never)]
     fn dma_fill(
         &mut self,
         block: BlockId,
@@ -691,7 +704,7 @@ impl Machine {
             fs.marks[region.index()].clear_range(offset / 4, words);
             self.fault_refresh_marked(region.index());
         }
-        self.resident[block.index()] = true;
+        self.slot[block.index()] = Some((region, offset));
         self.dirty[block.index()] = false;
         observer.on_access(&AccessEvent {
             cycle: self.cycle,
@@ -728,7 +741,7 @@ impl Machine {
                 .map(|(id, _)| id)
                 .filter(|&id| {
                     id != for_block
-                        && self.resident[id.index()]
+                        && self.slot[id.index()].is_some()
                         && self.placement.placement(id) == (Placement::Dynamic { region })
                 })
                 .min_by_key(|id| self.last_access[id.index()])
@@ -740,20 +753,20 @@ impl Machine {
         }
     }
 
-    /// Evicts a resident dynamic block: writes it back if dirty, frees its
-    /// slot, and marks it non-resident.
+    /// Unmaps `block` if it is resident: writes it back if dirty, clears
+    /// its slot, and returns a dynamic slot to its region's pool.
     fn evict(&mut self, block: BlockId, observer: &mut dyn Observer) {
-        let Placement::Dynamic { region } = self.placement.placement(block) else {
-            unreachable!("only dynamic blocks are evicted");
+        let Some((region, offset)) = self.slot[block.index()] else {
+            return;
         };
-        let offset = self.dyn_offset[block.index()].expect("victim is resident");
-        let size = self.program.block(block).size_bytes();
         if self.dirty[block.index()] {
             self.writeback(block, region, offset, observer);
         }
-        self.resident[block.index()] = false;
-        self.dyn_offset[block.index()] = None;
-        self.dyn_free[region.index()].free(offset, size);
+        self.slot[block.index()] = None;
+        if self.placement.placement(block).is_dynamic() {
+            let size = self.program.block(block).size_bytes();
+            self.dyn_free[region.index()].free(offset, size);
+        }
     }
 
     /// DMA copy of a (dirty) block from its SPM slot back to its home.
@@ -810,11 +823,7 @@ impl Machine {
         }
         let size = spec.size_bytes();
         let base = spec.dram_base();
-        self.coh_touch(block);
-        if self.cycle >= self.fault_gate {
-            self.fault_tick(observer);
-        }
-        let mut slot = self.ensure_resident(block, observer);
+        let mut slot = self.enter(block, observer);
         if let Some((region, offset)) = slot {
             // Entering the decode branch is only needed when the region
             // carries a pending mark (the reference path enters always):
@@ -860,13 +869,7 @@ impl Machine {
                 for _ in 0..count {
                     let shared = self.coh_before_fetch(base + pc);
                     let acc = self.icache.access_with_hint(base + pc, false, shared);
-                    let mut cycles = self.icache.hit_cycles();
-                    if !acc.hit {
-                        cycles += self.dram_charge_read(acc.fill_words);
-                    }
-                    if acc.writeback_words > 0 {
-                        cycles += self.dram_charge_write(acc.writeback_words);
-                    }
+                    let cycles = self.icache.hit_cycles() + self.dram_cycles(acc);
                     self.cycle += u64::from(cycles);
                     observer.on_access(&AccessEvent {
                         cycle: self.cycle,
@@ -884,12 +887,17 @@ impl Machine {
         Ok(pc)
     }
 
-    fn dram_charge_read(&mut self, words: u32) -> u32 {
-        self.dram.charge_burst_read(words)
-    }
-
-    fn dram_charge_write(&mut self, words: u32) -> u32 {
-        self.dram.charge_burst_write(words)
+    /// The L1 tail every cache access shares: DRAM cycles for the miss
+    /// fill, then for the dirty victim's writeback.
+    fn dram_cycles(&mut self, acc: CacheAccess) -> u32 {
+        let mut cycles = 0;
+        if !acc.hit {
+            cycles += self.dram.charge_burst_read(acc.fill_words);
+        }
+        if acc.writeback_words > 0 {
+            cycles += self.dram.charge_burst_write(acc.writeback_words);
+        }
+        cycles
     }
 
     /// Reads one aligned word of a data block.
@@ -901,11 +909,7 @@ impl Machine {
     ) -> Result<u32, SimError> {
         self.check_deadline()?;
         self.check_bounds(block, offset, 4)?;
-        self.coh_touch(block);
-        if self.cycle >= self.fault_gate {
-            self.fault_tick(observer);
-        }
-        let mut slot = self.ensure_resident(block, observer);
+        let mut slot = self.enter(block, observer);
         if let Some((region, base)) = slot {
             if self.fault_decode_needed(region) {
                 let woff = (base + offset) & !3;
@@ -923,13 +927,7 @@ impl Machine {
                 let addr = self.program.block(block).dram_base() + offset;
                 let (shared, snoop_cycles) = self.coh_before_data(addr, false);
                 let acc = self.dcache.access_with_hint(addr, false, shared);
-                let mut cycles = self.dcache.hit_cycles() + snoop_cycles;
-                if !acc.hit {
-                    cycles += self.dram_charge_read(acc.fill_words);
-                }
-                if acc.writeback_words > 0 {
-                    cycles += self.dram_charge_write(acc.writeback_words);
-                }
+                let cycles = self.dcache.hit_cycles() + snoop_cycles + self.dram_cycles(acc);
                 (
                     self.dram.peek_word(block, offset & !3),
                     Target::DCache { hit: acc.hit },
@@ -960,12 +958,7 @@ impl Machine {
     ) -> Result<(), SimError> {
         self.check_deadline()?;
         self.check_bounds(block, offset, 4)?;
-        self.coh_touch(block);
-        if self.cycle >= self.fault_gate {
-            self.fault_tick(observer);
-        }
-        let slot = self.ensure_resident(block, observer);
-        let (target, cycles) = match slot {
+        let (target, cycles) = match self.enter(block, observer) {
             Some((region, base)) => {
                 let c = self.regions[region.index()].write_word(base + offset, value);
                 self.program_rw[region.index()].1 += 1;
@@ -987,13 +980,7 @@ impl Machine {
                 let addr = self.program.block(block).dram_base() + offset;
                 let (_, snoop_cycles) = self.coh_before_data(addr, true);
                 let acc = self.dcache.access_with_hint(addr, true, false);
-                let mut cycles = self.dcache.hit_cycles() + snoop_cycles;
-                if !acc.hit {
-                    cycles += self.dram_charge_read(acc.fill_words);
-                }
-                if acc.writeback_words > 0 {
-                    cycles += self.dram_charge_write(acc.writeback_words);
-                }
+                let cycles = self.dcache.hit_cycles() + snoop_cycles + self.dram_cycles(acc);
                 self.dram.poke_word(block, offset, value);
                 (Target::DCache { hit: acc.hit }, cycles)
             }
@@ -1009,65 +996,6 @@ impl Machine {
             count: 1,
         });
         Ok(())
-    }
-
-    /// Injects a particle strike of `flipped_bits` adjacent bit flips
-    /// into `region` at word `offset`, mid-run.
-    ///
-    /// The region's protection scheme decides the outcome, mirroring the
-    /// decode path a real controller would take on the next access:
-    ///
-    /// * immune cells ([`ftspm_ecc::ErrorClass::Masked`]) and corrected
-    ///   errors ([`ftspm_ecc::ErrorClass::Dre`]) leave the data intact;
-    /// * detected-unrecoverable errors ([`ftspm_ecc::ErrorClass::Due`])
-    ///   leave the data intact but report the trap;
-    /// * silent corruptions ([`ftspm_ecc::ErrorClass::Sdc`]) **really
-    ///   flip the stored data bits**, so the corruption propagates into
-    ///   subsequent program reads and, ultimately, its outputs.
-    ///
-    /// Returns the outcome so campaigns can count SDC/DUE/DRE.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownRegion`] if `region` is out of range,
-    /// [`SimError::BadStrike`] if `offset` is unaligned or
-    /// `flipped_bits` is 0, and [`SimError::StrikeOutOfRange`] if the
-    /// word lies beyond the region.
-    pub fn inject_strike(
-        &mut self,
-        region: crate::RegionId,
-        offset: u32,
-        first_bit: u32,
-        flipped_bits: u32,
-    ) -> Result<ErrorClass, SimError> {
-        let Some(r) = self.regions.get_mut(region.index()) else {
-            return Err(SimError::UnknownRegion(region));
-        };
-        if flipped_bits == 0 || !offset.is_multiple_of(4) {
-            return Err(SimError::BadStrike {
-                offset,
-                flipped_bits,
-            });
-        }
-        let bytes = r.spec().geometry().bytes();
-        if offset.checked_add(4).is_none_or(|end| end > bytes) {
-            return Err(SimError::StrikeOutOfRange {
-                region,
-                offset,
-                bytes,
-            });
-        }
-        let scheme = r.spec().scheme();
-        let outcome = scheme.classify(flipped_bits);
-        if outcome == ErrorClass::Sdc {
-            // Corrupt the data bits for real (clamped into the word).
-            let mut mask: u32 = 0;
-            for k in 0..flipped_bits.min(32) {
-                mask |= 1 << ((first_bit + k) % 32);
-            }
-            r.corrupt_word(offset, mask);
-        }
-        Ok(outcome)
     }
 
     /// Live fault-injection counters (`None` when the machine runs clean).
@@ -1110,6 +1038,10 @@ impl Machine {
     /// both paths process the subsystem at the first access whose cycle
     /// reaches the schedule, and accesses are the only places time
     /// advances past it — so replays stay bit-for-bit.
+    ///
+    /// Kept out of line: the gate compare in [`Machine::enter`] is the
+    /// hot path, this is the rare one.
+    #[inline(never)]
     fn fault_tick(&mut self, observer: &mut dyn Observer) {
         let due = self
             .faults
@@ -1474,16 +1406,12 @@ impl Machine {
     fn owner_of(&self, region: crate::RegionId, woff: u32) -> Option<(BlockId, u32)> {
         for (block, p) in self.placement.iter() {
             let (r, base) = match p {
+                // A static slot owns its words before its first fill too.
                 Placement::Spm { region: r, offset } => (r, offset),
-                Placement::Dynamic { region: r } => {
-                    if !self.resident[block.index()] {
-                        continue;
-                    }
-                    match self.dyn_offset[block.index()] {
-                        Some(off) => (r, off),
-                        None => continue,
-                    }
-                }
+                Placement::Dynamic { .. } => match self.slot[block.index()] {
+                    Some(slot) => slot,
+                    None => continue,
+                },
                 Placement::OffChip => continue,
             };
             if r != region {
@@ -1535,24 +1463,10 @@ impl Machine {
     /// in the region's configured demotion target (falling back to
     /// off-chip if there is none or the block cannot fit).
     fn remap_block(&mut self, block: BlockId, observer: &mut dyn Observer) {
-        let old = self.placement.placement(block);
-        let Some(region) = old.region() else { return };
-        if self.resident[block.index()] {
-            let offset = match old {
-                Placement::Spm { offset, .. } => offset,
-                Placement::Dynamic { .. } => self.dyn_offset[block.index()].expect("resident"),
-                Placement::OffChip => unreachable!("off-chip blocks have no region"),
-            };
-            if self.dirty[block.index()] {
-                self.writeback(block, region, offset, observer);
-            }
-            self.resident[block.index()] = false;
-            if old.is_dynamic() {
-                let size = self.program.block(block).size_bytes();
-                self.dyn_offset[block.index()] = None;
-                self.dyn_free[region.index()].free(offset, size);
-            }
-        }
+        let Some(region) = self.placement.placement(block).region() else {
+            return;
+        };
+        self.evict(block, observer);
         let target = self
             .faults
             .as_ref()
@@ -1628,24 +1542,10 @@ impl Machine {
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
     pub fn peek_block_word(&self, block: BlockId, offset: u32) -> Result<u32, SimError> {
         self.check_bounds(block, offset, 4)?;
-        if self.resident[block.index()] {
-            let slot = match self.placement.placement(block) {
-                Placement::Spm {
-                    region,
-                    offset: base,
-                } => Some((region, base)),
-                Placement::Dynamic { region } => {
-                    Some((region, self.dyn_offset[block.index()].expect("resident")))
-                }
-                Placement::OffChip => None,
-            };
-            if let Some((region, base)) = slot {
-                let s = self.regions[region.index()].storage();
-                let i = (base + offset) as usize;
-                return Ok(u32::from_le_bytes(s[i..i + 4].try_into().expect("word")));
-            }
-        }
-        Ok(self.dram.peek_word(block, offset))
+        Ok(match self.slot[block.index()] {
+            Some((region, base)) => self.spm_word(region.index(), base + offset),
+            None => self.dram.peek_word(block, offset),
+        })
     }
 
     /// Writes back dirty SPM-resident data blocks, charges leakage to every
@@ -1656,20 +1556,11 @@ impl Machine {
             // Write back dirty data blocks (the unmapping commands).
             let ids: Vec<BlockId> = self.program.iter().map(|(id, _)| id).collect();
             for block in ids {
-                if !self.resident[block.index()] || !self.dirty[block.index()] {
+                if !self.dirty[block.index()] || self.program.block(block).kind() != BlockKind::Data
+                {
                     continue;
                 }
-                if self.program.block(block).kind() != BlockKind::Data {
-                    continue;
-                }
-                let slot = match self.placement.placement(block) {
-                    Placement::Spm { region, offset } => Some((region, offset)),
-                    Placement::Dynamic { region } => {
-                        Some((region, self.dyn_offset[block.index()].expect("resident")))
-                    }
-                    Placement::OffChip => None,
-                };
-                if let Some((region, offset)) = slot {
+                if let Some((region, offset)) = self.slot[block.index()] {
                     self.writeback(block, region, offset, observer);
                 }
             }

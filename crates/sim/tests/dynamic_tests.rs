@@ -115,6 +115,39 @@ fn dirty_victims_write_back_before_eviction() {
 }
 
 #[test]
+fn byte_stores_merge_into_the_dynamic_slot_across_a_refill() {
+    let mut m = machine_with_dynamic();
+    let (f, a, b_, c) = (
+        m.program().find("F").unwrap(),
+        m.program().find("A").unwrap(),
+        m.program().find("B").unwrap(),
+        m.program().find("C").unwrap(),
+    );
+    let mut o = NullObserver;
+    let mut cpu = Cpu::with_config(&mut m, &mut o, no_fetch());
+    cpu.call(f).unwrap();
+    // A byte store merges with the word in A's dynamic slot, not with
+    // its (still zero) DRAM home copy.
+    cpu.write_u32(a, 8, 0x1122_3344).unwrap();
+    cpu.write_u8(a, 9, 0xAB).unwrap();
+    assert_eq!(cpu.read_u32(a, 8).unwrap(), 0x1122_AB44);
+    // Make A the LRU and demand C: dirty A goes home and leaves the pool.
+    cpu.read_u32(b_, 0).unwrap();
+    cpu.read_u32(c, 0).unwrap();
+    // Refill A with a new word; its home copy is stale from here on.
+    cpu.write_u32(a, 8, 0x5566_7788).unwrap();
+    cpu.write_u8(a, 8, 0xCD).unwrap();
+    assert_eq!(cpu.read_u32(a, 8).unwrap(), 0x5566_77CD);
+    cpu.ret().unwrap();
+    let stats = m.finish(&mut o);
+    assert_eq!(
+        stats.regions[1].dyn_evictions, 2,
+        "A, then B for A's refill"
+    );
+    assert_eq!(m.dram().peek_word(a, 8), 0x5566_77CD);
+}
+
+#[test]
 fn dynamic_block_larger_than_pool_is_rejected() {
     let specs = small_regions();
     // Statically occupy 1.5 KiB of the 2 KiB region, leaving a 0.5 KiB

@@ -280,3 +280,92 @@ fn faulted_runs_replay_bit_for_bit_per_seed() {
         "a fresh seed is a fresh fault history"
     );
 }
+
+/// Writes `words` words of `d`, then reads them back `rounds` times
+/// without checking; returns each word's last value read.
+fn hammer_unchecked(
+    m: &mut Machine,
+    f: ftspm_sim::BlockId,
+    d: ftspm_sim::BlockId,
+    words: u32,
+    rounds: u32,
+) -> Vec<u32> {
+    let mut o = NullObserver;
+    let mut cpu = Cpu::with_config(
+        m,
+        &mut o,
+        CpuConfig {
+            fetch_per_data_op: false,
+        },
+    );
+    cpu.call(f).unwrap();
+    for w in 0..words {
+        cpu.write_u32(d, w * 4, 0xA000_0000 | w).unwrap();
+    }
+    let mut last = vec![0; words as usize];
+    for _ in 0..rounds {
+        for w in 0..words {
+            last[w as usize] = cpu.read_u32(d, w * 4).unwrap();
+        }
+    }
+    cpu.ret().unwrap();
+    last
+}
+
+/// Runs strikes sized by `mbu` aimed only at `region` (where `D` lives)
+/// and checks that the escapes the counters report really reach program
+/// reads: some word reads back different from what was written.
+fn sdc_reaches_program_reads(
+    region: usize,
+    mbu: MbuDistribution,
+    seed: u64,
+) -> (Machine, Vec<u32>) {
+    let mut cfg = FaultConfig::new(seed, 40.0);
+    cfg.mbu = mbu;
+    cfg.targets = Some(vec![RegionId::new(region)]);
+    let (mut m, f, d) = setup(region, cfg);
+    let last = hammer_unchecked(&mut m, f, d, 64, 60);
+    let stats = m.fault_stats().unwrap();
+    assert!(stats.sdc_escapes > 0, "strikes escape: {stats:?}");
+    let corrupted = (0..64u32)
+        .filter(|&w| last[w as usize] != 0xA000_0000 | w)
+        .count();
+    assert!(
+        corrupted > 0,
+        "an escape corrupts the stored data a program read returns"
+    );
+    (m, last)
+}
+
+#[test]
+fn triple_flips_on_secded_corrupt_program_reads() {
+    sdc_reaches_program_reads(1, MbuDistribution::new(0.0, 0.0, 1.0, 0.0), 0x7A1);
+}
+
+#[test]
+fn double_flips_on_parity_corrupt_program_reads() {
+    sdc_reaches_program_reads(2, MbuDistribution::new(0.0, 1.0, 0.0, 0.0), 0x0B1);
+}
+
+#[test]
+fn sdc_in_a_dirty_block_reaches_its_dram_home_at_finish() {
+    // The classic silent-corruption chain: an escape decoded by a program
+    // read poisons the SPM copy, and the dirty block's writeback carries
+    // it home.
+    let (mut m, last) =
+        sdc_reaches_program_reads(2, MbuDistribution::new(0.0, 1.0, 0.0, 0.0), 0x0B1);
+    let d = m.program().find("D").unwrap();
+    // Words struck after their last read still carry a pending mark; the
+    // writeback flushes those through the decoder instead.
+    let pending = m.pending_marks(RegionId::new(2));
+    m.finish(&mut NullObserver);
+    let mut carried = 0;
+    for w in (0..64u32).filter(|w| !pending.contains(w)) {
+        let home = m.dram().peek_word(d, w * 4);
+        assert_eq!(home, last[w as usize], "word {w}: home copy = last read");
+        if home != 0xA000_0000 | w {
+            carried += 1;
+        }
+    }
+    assert!(carried > 0, "a corrupted word was written back home");
+}
