@@ -11,6 +11,30 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
+
+# Inlining tripwire (DESIGN.md §3, hot-path rule). The access head
+# (`Machine::enter`, `Machine::ensure_resident`) must inline into every
+# access; the rare paths it reaches (`fault_tick`, the slot-miss fill
+# `map_in`, `dma_fill`) must stay out of line — inlining them once cost
+# 10 % of kernels_cold throughput (EXPERIMENTS.md). Toolchains without
+# `nm` skip it rather than failing the whole gate.
+if command -v nm >/dev/null 2>&1; then
+    SYMBOLS="$(nm -C target/release/repro)"
+    for f in fault_tick map_in dma_fill; do
+        if ! grep -q "ftspm_sim::machine::Machine::$f\$" <<< "$SYMBOLS"; then
+            echo "ci.sh: Machine::$f was inlined; it must stay out of line" >&2
+            exit 1
+        fi
+    done
+    for f in enter ensure_resident; do
+        if grep -q "ftspm_sim::machine::Machine::$f\$" <<< "$SYMBOLS"; then
+            echo "ci.sh: Machine::$f is out of line; it must inline into every access" >&2
+            exit 1
+        fi
+    done
+else
+    echo "ci.sh: nm unavailable, skipping the inlining tripwire" >&2
+fi
 # The benchmark (loadbench/, a workspace of its own) compiles against the
 # public names of harness, serve, trace and obs: a refactor that breaks
 # it, or its `#[cfg(test)]` code, must fail here, not at the next

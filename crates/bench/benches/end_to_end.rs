@@ -4,9 +4,9 @@
 use ftspm_core::OptimizeFor;
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_faults::{run_campaign, RegionImage};
-use ftspm_harness::{evaluate_workload, profile_workload};
+use ftspm_harness::{evaluate_workload, profile_workload, RunBuilder};
 use ftspm_testkit::{black_box, par, BenchGroup};
-use ftspm_workloads::{CaseStudy, Crc32, QSort, Sha1, Susan};
+use ftspm_workloads::{registry, CaseStudy, Crc32, QSort, Sha1, Susan};
 
 /// These bodies run whole simulations; keep the fixed counts small, as
 /// `criterion`'s `sample_size(10)` flat mode did.
@@ -29,6 +29,15 @@ fn main() {
     g.bench("profile/case_study", || {
         let mut w = CaseStudy::new();
         black_box(profile_workload(&mut w))
+    });
+    // What the served `kernels_cold` workload pays per request: one
+    // default `RunBuilder` job (profiling pass, MDA, mapped run) per
+    // suite kernel at its default seed.
+    g.bench("job/suite", || {
+        for kernel in registry().iter().filter(|k| k.in_suite()) {
+            let mut w = kernel.build(None);
+            black_box(RunBuilder::new().workload(w.as_mut()).run());
+        }
     });
     g.bench("evaluate/qsort", || {
         let mut w = QSort::new(0xF75F);
@@ -63,7 +72,7 @@ fn main() {
     g.bench("evaluate_dynamic/stream", || {
         use ftspm_core::mda::run_mda_dynamic;
         use ftspm_core::SpmStructure;
-        use ftspm_harness::{RunBuilder, StructureKind};
+        use ftspm_harness::StructureKind;
         use ftspm_workloads::{StreamPipeline, Workload};
         let mut w = StreamPipeline::new(0x57E4);
         let profile = profile_workload(&mut w);

@@ -125,26 +125,34 @@ pub struct Profiler {
     last_data_block: Option<BlockId>,
     cur_depth: u32,
     first_use_order: Vec<BlockId>,
-    /// Per data block, per word: cycle of the last access (ACE tracking).
-    last_word_access: Vec<Vec<u64>>,
-    /// Per data block, per word: whether the word has been accessed.
-    word_touched: Vec<Vec<bool>>,
+    /// For every data word of the program, one flat table (ACE
+    /// tracking): one past the cycle of the word's last access, or 0 if
+    /// it was never accessed. The `+ 1` cannot overflow: the machine
+    /// would have to simulate 2⁶⁴ − 1 cycles first, each costing
+    /// nanoseconds of host time (about 58 centuries at 10 ns a cycle).
+    /// Zero as the sentinel lets the table start as zeroed memory, which
+    /// the OS maps in only where a word is touched.
+    word_last: Vec<u64>,
+    /// Per block: the `(start, words)` span of its words in `word_last`
+    /// (`words` is 0 for code blocks).
+    word_span: Vec<(usize, usize)>,
 }
 
 impl Profiler {
     /// Creates a profiler for `program`.
     pub fn new(program: &Program) -> Self {
-        let (last_word_access, word_touched) = program
+        let mut words_total = 0;
+        let word_span = program
             .iter()
             .map(|(_, spec)| {
-                if spec.kind() == BlockKind::Data {
-                    let words = (spec.size_bytes() / 4) as usize;
-                    (vec![0u64; words], vec![false; words])
-                } else {
-                    (Vec::new(), Vec::new())
-                }
+                let words = match spec.kind() {
+                    BlockKind::Data => (spec.size_bytes() / 4) as usize,
+                    BlockKind::Code => 0,
+                };
+                words_total += words;
+                (words_total - words, words)
             })
-            .unzip();
+            .collect();
         Self {
             counters: vec![Counters::default(); program.len()],
             call_stack: Vec::new(),
@@ -152,8 +160,8 @@ impl Profiler {
             last_data_block: None,
             cur_depth: 0,
             first_use_order: Vec::new(),
-            last_word_access,
-            word_touched,
+            word_last: vec![0; words_total],
+            word_span,
         }
     }
 
@@ -245,14 +253,16 @@ impl Observer for Profiler {
             // during which a flipped bit would have been consumed; a span
             // ending in a write is dead time (the value is overwritten).
             let idx = e.block.index();
-            if !self.last_word_access[idx].is_empty() {
-                let w = (e.offset / 4) as usize % self.last_word_access[idx].len();
-                if e.kind == AccessKind::Read && self.word_touched[idx][w] {
-                    self.counters[idx].lifetime +=
-                        e.cycle.saturating_sub(self.last_word_access[idx][w]);
+            let (start, words) = self.word_span[idx];
+            if words != 0 {
+                let mut w = (e.offset / 4) as usize;
+                if w >= words {
+                    w %= words;
                 }
-                self.last_word_access[idx][w] = e.cycle;
-                self.word_touched[idx][w] = true;
+                let last = std::mem::replace(&mut self.word_last[start + w], e.cycle + 1);
+                if e.kind == AccessKind::Read && last != 0 {
+                    self.counters[idx].lifetime += e.cycle.saturating_sub(last - 1);
+                }
             }
         }
     }

@@ -173,6 +173,19 @@ pub struct Machine {
     finished: bool,
 }
 
+/// `x % size` without the division when `x` is already in range, as a
+/// PC cursor almost always is. One `execute` can wrap a small block
+/// several times, so the fallback is the full remainder, not a single
+/// subtraction.
+#[inline(always)]
+fn wrap(x: u32, size: u32) -> u32 {
+    if x < size {
+        x
+    } else {
+        x % size
+    }
+}
+
 /// A sorted, coalescing free-interval list for one region's dynamic pool.
 #[derive(Debug, Clone, Default)]
 struct FreeList {
@@ -642,8 +655,10 @@ impl Machine {
 
     /// The head every program access shares, after its own deadline,
     /// bounds and kind checks: records the active core as a sharer, lands
-    /// any due fault events, and resolves the block's slot.
-    #[inline]
+    /// any due fault events, and resolves the block's slot. Inlined into
+    /// every access; its rare branches ([`Machine::fault_tick`],
+    /// [`Machine::map_in`]) stay out of line.
+    #[inline(always)]
     fn enter(
         &mut self,
         block: BlockId,
@@ -659,15 +674,33 @@ impl Machine {
     /// Resolves `block` to its current SPM slot, performing the lazy
     /// map-in DMA (and, for dynamic blocks, allocation plus any LRU
     /// evictions) if needed. Returns `None` for off-chip blocks.
+    ///
+    /// The hit — a `last_access` store plus one slot load — is all an
+    /// access to a resident block pays, so it is inlined; the miss is
+    /// [`Machine::map_in`].
+    #[inline(always)]
     fn ensure_resident(
         &mut self,
         block: BlockId,
         observer: &mut dyn Observer,
     ) -> Option<(crate::RegionId, u32)> {
         self.last_access[block.index()] = self.cycle;
-        if let Some(slot) = self.slot[block.index()] {
-            return Some(slot);
+        match self.slot[block.index()] {
+            Some(slot) => Some(slot),
+            None => self.map_in(block, observer),
         }
+    }
+
+    /// The slot miss of [`Machine::ensure_resident`]: looks the block's
+    /// placement up and, unless it lives off-chip, allocates its slot
+    /// and DMA-fills it. Kept out of line: a block misses once per
+    /// map-in, and off-chip accesses go on to the cache anyway.
+    #[inline(never)]
+    fn map_in(
+        &mut self,
+        block: BlockId,
+        observer: &mut dyn Observer,
+    ) -> Option<(crate::RegionId, u32)> {
         let (region, offset) = match self.placement.placement(block) {
             Placement::OffChip => return None,
             Placement::Spm { region, offset } => (region, offset),
@@ -681,8 +714,8 @@ impl Machine {
     }
 
     /// DMA copy of a block's home copy into its SPM slot. Kept out of
-    /// line: fills are rare, and inlined into [`Machine::ensure_resident`]
-    /// (its only caller) it would weigh down the call every access makes.
+    /// line: fills are rare, and inlined into [`Machine::map_in`] (its
+    /// only caller) they would weigh down every off-chip access.
     #[inline(never)]
     fn dma_fill(
         &mut self,
@@ -822,7 +855,7 @@ impl Machine {
             return Err(SimError::WrongBlockKind { block });
         }
         let size = spec.size_bytes();
-        let base = spec.dram_base();
+        let pc = wrap(pc_offset, size);
         let mut slot = self.enter(block, observer);
         if let Some((region, offset)) = slot {
             // Entering the decode branch is only needed when the region
@@ -831,60 +864,65 @@ impl Machine {
             // below cannot observe a different slot, because no cycles
             // were charged and no recovery ran.
             if self.fault_decode_needed(region) {
-                self.fault_decode_span(
-                    block,
-                    region,
-                    offset,
-                    pc_offset % size,
-                    size,
-                    count,
-                    observer,
-                );
+                self.fault_decode_span(block, region, offset, pc, size, count, observer);
                 // Recovery may have quarantined a line and remapped the
                 // block mid-fetch; re-resolve its slot.
                 slot = self.ensure_resident(block, observer);
             }
         }
         self.instructions += u64::from(count);
-        let mut pc = pc_offset % size;
-        match slot {
-            Some((region, offset)) => {
-                // Fetches need no values, so they are charged as a batch of
-                // `count` reads at the region's read latency.
-                let cycles = self.regions[region.index()].read_batch(offset + pc, count);
-                self.program_rw[region.index()].0 += u64::from(count);
-                self.cycle += u64::from(cycles);
-                pc = (pc + 4 * count) % size;
-                observer.on_access(&AccessEvent {
-                    cycle: self.cycle,
-                    block,
-                    kind: AccessKind::Fetch,
-                    target: Target::Region(region),
-                    offset: pc,
-                    dma: false,
-                    count,
-                });
-            }
-            None => {
-                for _ in 0..count {
-                    let shared = self.coh_before_fetch(base + pc);
-                    let acc = self.icache.access_with_hint(base + pc, false, shared);
-                    let cycles = self.icache.hit_cycles() + self.dram_cycles(acc);
-                    self.cycle += u64::from(cycles);
-                    observer.on_access(&AccessEvent {
-                        cycle: self.cycle,
-                        block,
-                        kind: AccessKind::Fetch,
-                        target: Target::ICache { hit: acc.hit },
-                        offset: pc,
-                        dma: false,
-                        count: 1,
-                    });
-                    pc = (pc + 4) % size;
-                }
-            }
-        }
+        let Some((region, offset)) = slot else {
+            return Ok(self.fetch_icache(block, pc, size, count, observer));
+        };
+        // Fetches need no values, so they are charged as a batch of
+        // `count` reads at the region's read latency.
+        let cycles = self.regions[region.index()].read_batch(offset + pc, count);
+        self.program_rw[region.index()].0 += u64::from(count);
+        self.cycle += u64::from(cycles);
+        let pc = wrap(pc + 4 * count, size);
+        observer.on_access(&AccessEvent {
+            cycle: self.cycle,
+            block,
+            kind: AccessKind::Fetch,
+            target: Target::Region(region),
+            offset: pc,
+            dma: false,
+            count,
+        });
         Ok(pc)
+    }
+
+    /// The off-chip tail of [`Machine::fetch`]: `count` fetches through
+    /// the L1 instruction cache, one event each, from in-range byte `pc`.
+    /// Returns the new PC cursor. Kept out of line so the SPM fetch every
+    /// profiling pass makes carries none of its state.
+    #[inline(never)]
+    fn fetch_icache(
+        &mut self,
+        block: BlockId,
+        mut pc: u32,
+        size: u32,
+        count: u32,
+        observer: &mut dyn Observer,
+    ) -> u32 {
+        let base = self.program.block(block).dram_base();
+        for _ in 0..count {
+            let shared = self.coh_before_fetch(base + pc);
+            let acc = self.icache.access_with_hint(base + pc, false, shared);
+            let cycles = self.icache.hit_cycles() + self.dram_cycles(acc);
+            self.cycle += u64::from(cycles);
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind: AccessKind::Fetch,
+                target: Target::ICache { hit: acc.hit },
+                offset: pc,
+                dma: false,
+                count: 1,
+            });
+            pc = wrap(pc + 4, size);
+        }
+        pc
     }
 
     /// The L1 tail every cache access shares: DRAM cycles for the miss
@@ -924,15 +962,9 @@ impl Machine {
                 (v, Target::Region(region), c)
             }
             None => {
-                let addr = self.program.block(block).dram_base() + offset;
-                let (shared, snoop_cycles) = self.coh_before_data(addr, false);
-                let acc = self.dcache.access_with_hint(addr, false, shared);
-                let cycles = self.dcache.hit_cycles() + snoop_cycles + self.dram_cycles(acc);
-                (
-                    self.dram.peek_word(block, offset & !3),
-                    Target::DCache { hit: acc.hit },
-                    cycles,
-                )
+                let (hit, cycles) = self.dcache_access(block, offset, false);
+                let v = self.dram.peek_word(block, offset & !3);
+                (v, Target::DCache { hit }, cycles)
             }
         };
         self.cycle += u64::from(cycles);
@@ -977,12 +1009,9 @@ impl Machine {
                 (Target::Region(region), c)
             }
             None => {
-                let addr = self.program.block(block).dram_base() + offset;
-                let (_, snoop_cycles) = self.coh_before_data(addr, true);
-                let acc = self.dcache.access_with_hint(addr, true, false);
-                let cycles = self.dcache.hit_cycles() + snoop_cycles + self.dram_cycles(acc);
+                let (hit, cycles) = self.dcache_access(block, offset, true);
                 self.dram.poke_word(block, offset, value);
-                (Target::DCache { hit: acc.hit }, cycles)
+                (Target::DCache { hit }, cycles)
             }
         };
         self.cycle += u64::from(cycles);
@@ -996,6 +1025,20 @@ impl Machine {
             count: 1,
         });
         Ok(())
+    }
+
+    /// The off-chip tail of [`Machine::read_word`] and
+    /// [`Machine::write_word`]: the MESI bus transaction and the L1 data
+    /// cache access for byte `offset` of `block`. Returns whether the
+    /// cache hit and the cycles charged. Kept out of line, as
+    /// [`Machine::fetch_icache`] is.
+    #[inline(never)]
+    fn dcache_access(&mut self, block: BlockId, offset: u32, is_write: bool) -> (bool, u32) {
+        let addr = self.program.block(block).dram_base() + offset;
+        let (shared, snoop_cycles) = self.coh_before_data(addr, is_write);
+        let acc = self.dcache.access_with_hint(addr, is_write, shared);
+        let cycles = self.dcache.hit_cycles() + snoop_cycles + self.dram_cycles(acc);
+        (acc.hit, cycles)
     }
 
     /// Live fault-injection counters (`None` when the machine runs clean).
@@ -1152,6 +1195,7 @@ impl Machine {
     /// Decodes pending marks over a fetch span of `count` words starting
     /// at block-relative byte `start` (wrapping within `size`).
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn fault_decode_span(
         &mut self,
         block: BlockId,

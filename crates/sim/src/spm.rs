@@ -63,8 +63,16 @@ impl SpmRegionSpec {
 pub struct SpmRegion {
     spec: SpmRegionSpec,
     params: TechParams,
+    /// Per-access dynamic energy, pJ: a pure function of the spec, so it
+    /// is computed once here instead of on every access (each access
+    /// still adds the same `f64`, in the same order).
+    read_pj: f64,
+    write_pj: f64,
     storage: Vec<u8>,
     line_writes: Vec<u64>,
+    /// The largest entry of `line_writes`, kept as writes land so that a
+    /// statistics snapshot does not scan every line.
+    max_line_writes: u64,
     stats: DeviceStats,
     energy: EnergyAccount,
 }
@@ -75,10 +83,13 @@ impl SpmRegion {
         let bytes = spec.geometry().bytes() as usize;
         let params = spec.params();
         Self {
+            read_pj: params.read_energy_pj(spec.geometry()),
+            write_pj: params.write_energy_pj(spec.geometry()),
             spec,
             params,
             storage: vec![0; bytes],
             line_writes: vec![0; bytes / WORD_BYTES as usize],
+            max_line_writes: 0,
             stats: DeviceStats::default(),
             energy: EnergyAccount::new(),
         }
@@ -101,8 +112,7 @@ impl SpmRegion {
         self.stats.reads += 1;
         let cycles = self.params.read_latency;
         self.stats.read_cycles += u64::from(cycles);
-        self.energy
-            .add_read(self.params.read_energy_pj(self.spec.geometry()));
+        self.energy.add_read(self.read_pj);
         (value, cycles)
     }
 
@@ -114,22 +124,23 @@ impl SpmRegion {
         self.stats.reads += u64::from(count);
         let cycles = self.params.read_latency * count;
         self.stats.read_cycles += u64::from(cycles);
-        let pj = self.params.read_energy_pj(self.spec.geometry());
-        self.energy.add_reads(u64::from(count), pj);
+        self.energy.add_reads(u64::from(count), self.read_pj);
         cycles
     }
 
     /// Writes one word; returns the cycle cost and bumps the line's wear
     /// counter.
+    #[inline]
     pub fn write_word(&mut self, offset: u32, value: u32) -> u32 {
         let i = offset as usize;
         self.storage[i..i + 4].copy_from_slice(&value.to_le_bytes());
-        self.line_writes[i / WORD_BYTES as usize] += 1;
+        let line = &mut self.line_writes[i / WORD_BYTES as usize];
+        *line += 1;
+        self.max_line_writes = self.max_line_writes.max(*line);
         self.stats.writes += 1;
         let cycles = self.params.write_latency;
         self.stats.write_cycles += u64::from(cycles);
-        self.energy
-            .add_write(self.params.write_energy_pj(self.spec.geometry()));
+        self.energy.add_write(self.write_pj);
         cycles
     }
 
@@ -170,12 +181,13 @@ impl SpmRegion {
     /// The most writes any single word line has absorbed (the endurance-
     /// critical quantity: Table III / Fig. 8 derive lifetime from it).
     pub fn max_line_writes(&self) -> u64 {
-        self.line_writes.iter().copied().max().unwrap_or(0)
+        self.max_line_writes
     }
 
-    /// Total writes across all lines.
+    /// Total writes across all lines: every write lands on exactly one
+    /// line, so this is the region's write count.
     pub fn total_writes(&self) -> u64 {
-        self.line_writes.iter().sum()
+        self.stats.writes
     }
 
     /// Per-line write counters (one per 32-bit word).
@@ -236,6 +248,20 @@ mod tests {
         assert_eq!(r.max_line_writes(), 5);
         assert_eq!(r.total_writes(), 6);
         assert_eq!(r.line_writes()[1], 5);
+    }
+
+    #[test]
+    fn wear_summaries_agree_with_the_line_counters() {
+        let mut r = region(2, Technology::SttRam, ProtectionScheme::Immune);
+        assert_eq!((r.max_line_writes(), r.total_writes()), (0, 0));
+        let mut x = 7u32;
+        for _ in 0..500 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            r.write_word((x >> 8) % 64 * 4, x);
+            let lines = r.line_writes();
+            assert_eq!(r.max_line_writes(), lines.iter().copied().max().unwrap());
+            assert_eq!(r.total_writes(), lines.iter().sum::<u64>());
+        }
     }
 
     #[test]

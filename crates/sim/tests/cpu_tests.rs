@@ -3,8 +3,8 @@
 use ftspm_ecc::ProtectionScheme;
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_sim::{
-    Cpu, CpuConfig, Machine, MachineConfig, NullObserver, PlacementMap, Program, SimError,
-    SpmRegionSpec,
+    AccessEvent, AccessKind, Cpu, CpuConfig, Machine, MachineConfig, NullObserver, Observer,
+    PlacementMap, Program, RegionId, SimError, SpmRegionSpec, Target,
 };
 
 fn regions() -> Vec<SpmRegionSpec> {
@@ -109,26 +109,83 @@ fn nested_calls_track_current_block_and_max_stack() {
     assert_eq!(cpu.max_stack_bytes(), 96, "32 + 64 at the deepest point");
 }
 
-#[test]
-fn pc_wraps_within_the_code_block() {
+/// Records every instruction-fetch event: its offset, count and whether
+/// the SPM (rather than the L1 instruction cache) served it.
+#[derive(Default)]
+struct FetchLog(Vec<(u32, u32, bool)>);
+
+impl Observer for FetchLog {
+    fn on_access(&mut self, e: &AccessEvent) {
+        if e.kind == AccessKind::Fetch {
+            self.0
+                .push((e.offset, e.count, matches!(e.target, Target::Region(_))));
+        }
+    }
+}
+
+/// `execute` counts over a 64-byte (16-instruction) block: from PC 0,
+/// landing exactly on the block end, crossing it once, crossing it
+/// twice in one call, stopping short of it, landing on it again from
+/// mid-block, and crossing it three times from mid-block.
+const WRAP_EXECUTES: [u32; 6] = [16, 20, 40, 3, 1, 50];
+
+/// Runs [`WRAP_EXECUTES`] on a 64-byte code block, resident in the SPM
+/// or left off-chip, and returns the fetch events.
+fn wrap_fetches(in_spm: bool) -> Vec<(u32, u32, bool)> {
     let mut b = Program::builder("p");
     let f = b.code("F", 64, 0); // 16 instructions
     b.stack(64);
-    let mut m = machine(b.build());
-    let mut o = NullObserver;
+    let program = b.build();
+    let mut map = PlacementMap::new(&program, &regions());
+    if in_spm {
+        map.place(&program, f, RegionId::new(0)).unwrap();
+    }
+    let mut m = Machine::new(MachineConfig::with_regions(regions()), program, map).unwrap();
+    let mut log = FetchLog::default();
     let mut cpu = Cpu::with_config(
         &mut m,
-        &mut o,
+        &mut log,
         CpuConfig {
             fetch_per_data_op: false,
         },
     );
     cpu.call(f).unwrap();
-    // 40 instructions in a 16-instruction block: wraps twice, no error.
-    cpu.execute(40).unwrap();
+    for n in WRAP_EXECUTES {
+        cpu.execute(n).unwrap();
+    }
     cpu.ret().unwrap();
     drop(cpu);
-    assert_eq!(m.instructions(), 40);
+    assert_eq!(
+        m.instructions(),
+        u64::from(WRAP_EXECUTES.iter().sum::<u32>())
+    );
+    log.0
+}
+
+#[test]
+fn pc_wraps_within_the_code_block() {
+    // SPM-resident code: one batched event per `execute`, whose offset
+    // is the PC the next fetch starts from.
+    let mut pc = 0;
+    let expected: Vec<_> = WRAP_EXECUTES
+        .iter()
+        .map(|&n| {
+            pc = (pc + 4 * n) % 64;
+            (pc, n, true)
+        })
+        .collect();
+    assert_eq!(
+        expected.iter().map(|e| e.0).collect::<Vec<_>>(),
+        [0, 16, 48, 60, 0, 8],
+        "the schedule lands on, crosses once and crosses twice the end"
+    );
+    assert_eq!(wrap_fetches(true), expected);
+
+    // Off-chip code: one icache event per fetch, at that fetch's own
+    // offset, so each `execute` starts where the previous one stopped.
+    let total: u32 = WRAP_EXECUTES.iter().sum();
+    let expected: Vec<_> = (0..total).map(|i| ((4 * i) % 64, 1, false)).collect();
+    assert_eq!(wrap_fetches(false), expected);
 }
 
 #[test]
