@@ -35,6 +35,10 @@ if command -v nm >/dev/null 2>&1; then
 else
     echo "ci.sh: nm unavailable, skipping the inlining tripwire" >&2
 fi
+# Every workspace target type-checks here, benches and examples
+# included: otherwise the benches compile only inside the clippy gate,
+# which toolchains without clippy skip.
+cargo check --offline --workspace --all-targets
 # The benchmark (loadbench/, a workspace of its own) compiles against the
 # public names of harness, serve, trace and obs: a refactor that breaks
 # it, or its `#[cfg(test)]` code, must fail here, not at the next

@@ -5,15 +5,16 @@ use crate::Clock;
 /// Accumulates the dynamic energy of individual accesses and, at the end of
 /// a run, the static (leakage) energy of the device.
 ///
-/// All energies are in picojoules. The simulator owns one account per
-/// memory device (each SPM region, each cache, the DRAM).
+/// All energies are in picojoules. The simulator owns one account per SPM
+/// region; a statistics snapshot is a copy of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyAccount {
-    read_pj: f64,
-    write_pj: f64,
-    static_pj: f64,
-    reads: u64,
-    writes: u64,
+    /// Total dynamic read energy, pJ.
+    pub read_pj: f64,
+    /// Total dynamic write energy, pJ.
+    pub write_pj: f64,
+    /// Total static (leakage) energy, pJ.
+    pub static_pj: f64,
 }
 
 impl EnergyAccount {
@@ -25,19 +26,16 @@ impl EnergyAccount {
     /// Records one read costing `pj` picojoules.
     pub fn add_read(&mut self, pj: f64) {
         self.read_pj += pj;
-        self.reads += 1;
     }
 
     /// Records `n` reads costing `pj` picojoules each.
     pub fn add_reads(&mut self, n: u64, pj: f64) {
         self.read_pj += pj * n as f64;
-        self.reads += n;
     }
 
     /// Records one write costing `pj` picojoules.
     pub fn add_write(&mut self, pj: f64) {
         self.write_pj += pj;
-        self.writes += 1;
     }
 
     /// Charges leakage for a run of `cycles` cycles at `leak_mw` milliwatts.
@@ -45,61 +43,17 @@ impl EnergyAccount {
         self.static_pj += clock.static_energy_pj(leak_mw, cycles);
     }
 
-    /// Snapshot of the accumulated energies.
-    pub fn breakdown(&self) -> EnergyBreakdown {
-        EnergyBreakdown {
-            read_pj: self.read_pj,
-            write_pj: self.write_pj,
-            static_pj: self.static_pj,
-            reads: self.reads,
-            writes: self.writes,
-        }
-    }
-
-    /// Merges another account into this one (used to aggregate devices).
-    pub fn merge(&mut self, other: &EnergyAccount) {
-        self.read_pj += other.read_pj;
-        self.write_pj += other.write_pj;
-        self.static_pj += other.static_pj;
-        self.reads += other.reads;
-        self.writes += other.writes;
-    }
-}
-
-/// Immutable snapshot of an [`EnergyAccount`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EnergyBreakdown {
-    /// Total dynamic read energy, pJ.
-    pub read_pj: f64,
-    /// Total dynamic write energy, pJ.
-    pub write_pj: f64,
-    /// Total static (leakage) energy, pJ.
-    pub static_pj: f64,
-    /// Number of reads recorded.
-    pub reads: u64,
-    /// Number of writes recorded.
-    pub writes: u64,
-}
-
-impl EnergyBreakdown {
     /// Total dynamic energy (reads + writes), pJ.
     pub fn dynamic_pj(&self) -> f64 {
         self.read_pj + self.write_pj
     }
 
-    /// Total energy (dynamic + static), pJ.
-    pub fn total_pj(&self) -> f64 {
-        self.dynamic_pj() + self.static_pj
-    }
-
-    /// Element-wise sum of two breakdowns.
-    pub fn merged(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
+    /// Element-wise sum of two accounts.
+    pub fn merged(&self, other: &EnergyAccount) -> EnergyAccount {
+        EnergyAccount {
             read_pj: self.read_pj + other.read_pj,
             write_pj: self.write_pj + other.write_pj,
             static_pj: self.static_pj + other.static_pj,
-            reads: self.reads + other.reads,
-            writes: self.writes + other.writes,
         }
     }
 }
@@ -112,14 +66,12 @@ mod tests {
     fn accumulates_reads_and_writes() {
         let mut a = EnergyAccount::new();
         a.add_read(10.0);
-        a.add_read(10.0);
+        a.add_reads(2, 10.0);
         a.add_write(50.0);
-        let b = a.breakdown();
-        assert_eq!(b.reads, 2);
-        assert_eq!(b.writes, 1);
-        assert_eq!(b.read_pj, 20.0);
-        assert_eq!(b.write_pj, 50.0);
-        assert_eq!(b.dynamic_pj(), 70.0);
+        assert_eq!(a.read_pj, 30.0);
+        assert_eq!(a.write_pj, 50.0);
+        assert_eq!(a.dynamic_pj(), 80.0);
+        assert_eq!(a.merged(&a).dynamic_pj(), 160.0);
     }
 
     #[test]
@@ -127,25 +79,7 @@ mod tests {
         let mut a = EnergyAccount::new();
         a.add_read(1.0);
         a.charge_static(Clock::new(1.0e6), 1.0, 1_000_000);
-        let b = a.breakdown();
-        assert_eq!(b.dynamic_pj(), 1.0);
-        assert!((b.static_pj - 1.0e9).abs() < 1.0);
-        assert!((b.total_pj() - (1.0e9 + 1.0)).abs() < 1.0);
-    }
-
-    #[test]
-    fn merge_sums_everything() {
-        let mut a = EnergyAccount::new();
-        a.add_read(5.0);
-        let mut b = EnergyAccount::new();
-        b.add_write(7.0);
-        a.merge(&b);
-        let s = a.breakdown();
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.dynamic_pj(), 12.0);
-        let m = s.merged(&s);
-        assert_eq!(m.dynamic_pj(), 24.0);
-        assert_eq!(m.reads, 2);
+        assert_eq!(a.dynamic_pj(), 1.0);
+        assert!((a.static_pj - 1.0e9).abs() < 1.0);
     }
 }

@@ -17,7 +17,7 @@
 //! analytical capacity-scaling model for ablation studies.
 //!
 //! The crate also provides [`EnergyAccount`], the dynamic/static energy
-//! bookkeeping used by the simulator, and [`Clock`] for cycle/time
+//! bookkeeping of the simulator's SPM regions, and [`Clock`] for cycle/time
 //! conversion.
 
 #![forbid(unsafe_code)]
@@ -29,7 +29,7 @@ mod geometry;
 mod technology;
 
 pub use clock::Clock;
-pub use energy::{EnergyAccount, EnergyBreakdown};
+pub use energy::EnergyAccount;
 pub use geometry::{RegionGeometry, WORD_BYTES};
 pub use technology::{TechParams, Technology};
 

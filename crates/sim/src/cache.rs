@@ -4,7 +4,8 @@
 //! gives both baselines and FTSPM an 8 KiB unprotected-SRAM L1 I-cache and
 //! D-cache). The model tracks real tags with LRU replacement and
 //! write-back/write-allocate semantics; data values are kept coherent in
-//! the DRAM home copy, so the cache only accounts timing and energy.
+//! the DRAM home copy, so the cache only accounts timing and hit/miss
+//! counts.
 //!
 //! Every line additionally carries a MESI [`CoherenceState`]. A
 //! single-core machine never issues snoops, and the state machine
@@ -14,8 +15,6 @@
 //! [`crate::MultiMachine`] keeps the private L1s coherent by calling the
 //! snoop entry points ([`Cache::snoop_read`], [`Cache::snoop_invalidate`])
 //! on every other core's cache before an off-chip access is served.
-
-use ftspm_mem::{EnergyAccount, RegionGeometry, TechParams, Technology};
 
 use crate::stats::DeviceStats;
 
@@ -122,8 +121,6 @@ pub struct Cache {
     lines: Vec<Line>, // sets * ways
     tick: u64,
     stats: DeviceStats,
-    energy: EnergyAccount,
-    params: TechParams,
 }
 
 impl Cache {
@@ -146,8 +143,6 @@ impl Cache {
             lines: vec![Line::default(); (sets * config.ways) as usize],
             tick: 0,
             stats: DeviceStats::default(),
-            energy: EnergyAccount::new(),
-            params: Technology::SramUnprotected.params_40nm(),
         }
     }
 
@@ -173,8 +168,8 @@ impl Cache {
 
     /// Performs one access; `shared_hint` marks whether another core's
     /// cache still holds a copy of the line (a read miss then fills
-    /// Shared instead of Exclusive). Timing, stats and energy are
-    /// identical for either hint value.
+    /// Shared instead of Exclusive). Timing and counts are identical for
+    /// either hint value.
     pub(crate) fn access_with_hint(
         &mut self,
         addr: u32,
@@ -184,15 +179,6 @@ impl Cache {
         self.tick += 1;
         let (base, tag) = self.locate(addr);
         let ways = &mut self.lines[base..base + self.config.ways as usize];
-
-        let geometry = RegionGeometry::from_bytes(self.config.capacity_bytes);
-        if is_write {
-            self.stats.writes += 1;
-            self.energy.add_write(self.params.write_energy_pj(geometry));
-        } else {
-            self.stats.reads += 1;
-            self.energy.add_read(self.params.read_energy_pj(geometry));
-        }
 
         // Hit?
         if let Some(line) = ways.iter_mut().find(|l| l.valid() && l.tag == tag) {
@@ -242,7 +228,7 @@ impl Cache {
     }
 
     /// Bus-side probe: the coherence state of the line holding `addr`.
-    /// Does not touch LRU, stats, or energy.
+    /// Does not touch LRU or stats.
     pub fn probe_state(&self, addr: u32) -> CoherenceState {
         let (base, tag) = self.locate(addr);
         self.lines[base..base + self.config.ways as usize]
@@ -254,7 +240,7 @@ impl Cache {
     /// Remote read snoop: another core wants a clean copy of the line
     /// holding `addr`. A Modified copy flushes (caller charges the DRAM
     /// write) and every valid copy downgrades to Shared. Bus-side: no
-    /// LRU/stat/energy perturbation.
+    /// LRU/stat perturbation.
     pub(crate) fn snoop_read(&mut self, addr: u32) -> SnoopResult {
         let (base, tag) = self.locate(addr);
         let Some(line) = self.lines[base..base + self.config.ways as usize]
@@ -283,7 +269,7 @@ impl Cache {
     /// Remote write snoop: another core wants exclusive ownership of the
     /// line holding `addr`. A Modified copy flushes (caller charges the
     /// DRAM write); every valid copy invalidates. Bus-side: no
-    /// LRU/stat/energy perturbation.
+    /// LRU/stat perturbation.
     pub(crate) fn snoop_invalidate(&mut self, addr: u32) -> SnoopResult {
         let (base, tag) = self.locate(addr);
         let Some(line) = self.lines[base..base + self.config.ways as usize]
@@ -328,24 +314,9 @@ impl Cache {
         self.config.hit_cycles
     }
 
-    /// Access statistics.
+    /// Hit, miss and writeback counts.
     pub fn stats(&self) -> DeviceStats {
         self.stats
-    }
-
-    /// Energy account.
-    pub fn energy(&self) -> &EnergyAccount {
-        &self.energy
-    }
-
-    pub(crate) fn energy_mut(&mut self) -> &mut EnergyAccount {
-        &mut self.energy
-    }
-
-    /// Leakage power of the cache array, mW.
-    pub fn leakage_mw(&self) -> f64 {
-        self.params
-            .leakage_mw(RegionGeometry::from_bytes(self.config.capacity_bytes))
     }
 }
 

@@ -1,11 +1,9 @@
 //! Off-chip DRAM model.
 
-use ftspm_mem::EnergyAccount;
-
 use crate::stats::DeviceStats;
 use crate::{BlockId, Program};
 
-/// Timing/energy parameters of the off-chip memory.
+/// Timing parameters of the off-chip memory.
 ///
 /// A simple burst model: the first word of a transfer pays the full
 /// access latency, each further sequential word one bus cycle. Values are
@@ -16,10 +14,6 @@ pub struct DramConfig {
     pub first_word_cycles: u32,
     /// Latency of each subsequent word of a burst, in cycles.
     pub per_word_cycles: u32,
-    /// Dynamic energy per word read, pJ (off-chip I/O included).
-    pub read_energy_pj: f64,
-    /// Dynamic energy per word written, pJ.
-    pub write_energy_pj: f64,
 }
 
 impl Default for DramConfig {
@@ -27,8 +21,6 @@ impl Default for DramConfig {
         Self {
             first_word_cycles: 25,
             per_word_cycles: 2,
-            read_energy_pj: 120.0,
-            write_energy_pj: 120.0,
         }
     }
 }
@@ -39,7 +31,6 @@ pub struct Dram {
     config: DramConfig,
     storage: Vec<Vec<u8>>,
     stats: DeviceStats,
-    energy: EnergyAccount,
 }
 
 impl Dram {
@@ -54,11 +45,10 @@ impl Dram {
                 .map(|b| vec![0; b.size_bytes() as usize])
                 .collect(),
             stats: DeviceStats::default(),
-            energy: EnergyAccount::new(),
         }
     }
 
-    /// The configured timing/energy parameters.
+    /// The configured timing parameters.
     pub fn config(&self) -> DramConfig {
         self.config
     }
@@ -72,7 +62,7 @@ impl Dram {
     }
 
     /// Reads a burst of `words` words starting at `offset`, charging burst
-    /// timing/energy; the values are appended to `out`.
+    /// timing; the values are appended to `out`.
     pub fn read_burst(
         &mut self,
         block: BlockId,
@@ -82,51 +72,34 @@ impl Dram {
     ) -> u32 {
         for i in 0..words {
             out.push(self.peek_word(block, offset + i * 4));
-            self.energy.add_read(self.config.read_energy_pj);
         }
-        self.stats.reads += u64::from(words);
-        let cycles = self.burst_cycles(words);
-        self.stats.read_cycles += u64::from(cycles);
-        cycles
+        self.charge_burst_read(words)
     }
 
     /// Writes a burst of words starting at `offset`.
     pub fn write_burst(&mut self, block: BlockId, offset: u32, values: &[u32]) -> u32 {
         for (i, v) in values.iter().enumerate() {
             self.poke_word(block, offset + (i as u32) * 4, *v);
-            self.energy.add_write(self.config.write_energy_pj);
         }
-        self.stats.writes += values.len() as u64;
-        let cycles = self.burst_cycles(values.len() as u32);
-        self.stats.write_cycles += u64::from(cycles);
-        cycles
+        self.charge_burst_write(values.len() as u32)
     }
 
-    /// Charges the timing/energy/stats of a burst read of `words` words
+    /// Charges the timing and read count of a burst read of `words` words
     /// without moving data (cache line fills keep values coherent in the
     /// home copy, so only the cost matters); returns the cycle cost.
     pub fn charge_burst_read(&mut self, words: u32) -> u32 {
         self.stats.reads += u64::from(words);
-        self.energy
-            .add_reads(u64::from(words), self.config.read_energy_pj);
-        let cycles = self.burst_cycles(words);
-        self.stats.read_cycles += u64::from(cycles);
-        cycles
+        self.burst_cycles(words)
     }
 
     /// Charges a burst write of `words` words without moving data; returns
     /// the cycle cost.
     pub fn charge_burst_write(&mut self, words: u32) -> u32 {
         self.stats.writes += u64::from(words);
-        for _ in 0..words {
-            self.energy.add_write(self.config.write_energy_pj);
-        }
-        let cycles = self.burst_cycles(words);
-        self.stats.write_cycles += u64::from(cycles);
-        cycles
+        self.burst_cycles(words)
     }
 
-    /// Value access without timing/energy (used by the machine to keep
+    /// Value access without timing or counts (used by the machine to keep
     /// cacheable data coherent and by tests to inspect memory).
     pub fn peek_word(&self, block: BlockId, offset: u32) -> u32 {
         let s = &self.storage[block.index()];
@@ -134,21 +107,16 @@ impl Dram {
         u32::from_le_bytes(s[i..i + 4].try_into().expect("aligned word"))
     }
 
-    /// Value mutation without timing/energy (initialising input data).
+    /// Value mutation without timing or counts (initialising input data).
     pub fn poke_word(&mut self, block: BlockId, offset: u32, value: u32) {
         let s = &mut self.storage[block.index()];
         let i = offset as usize;
         s[i..i + 4].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Access statistics.
+    /// Word read and write counts.
     pub fn stats(&self) -> DeviceStats {
         self.stats
-    }
-
-    /// Energy account.
-    pub fn energy(&self) -> &EnergyAccount {
-        &self.energy
     }
 }
 
@@ -183,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn bursts_move_data_and_charge_energy() {
+    fn bursts_move_data_and_count_words() {
         let p = program();
         let mut d = Dram::new(DramConfig::default(), &p);
         d.write_burst(BlockId(0), 0, &[1, 2, 3, 4]);
@@ -191,8 +159,9 @@ mod tests {
         let cycles = d.read_burst(BlockId(0), 0, 4, &mut out);
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!(cycles, 25 + 3 * 2);
-        let e = d.energy().breakdown();
-        assert_eq!((e.reads, e.writes), (4, 4));
+        assert_eq!(d.charge_burst_read(8), 25 + 7 * 2);
+        let s = d.stats();
+        assert_eq!((s.reads, s.writes), (4 + 8, 4));
     }
 
     #[test]

@@ -1593,7 +1593,7 @@ impl Machine {
     }
 
     /// Writes back dirty SPM-resident data blocks, charges leakage to every
-    /// on-chip device for the elapsed cycles, and returns the final
+    /// SPM region for the elapsed cycles, and returns the final
     /// statistics. Idempotent after the first call.
     pub fn finish(&mut self, observer: &mut dyn Observer) -> MachineStats {
         if !self.finished {
@@ -1608,29 +1608,10 @@ impl Machine {
                     self.writeback(block, region, offset, observer);
                 }
             }
-            // Leakage over the whole run.
-            let cycles = self.cycle;
+            // SPM leakage over the whole run.
             for r in &mut self.regions {
                 let leak = r.leakage_mw();
-                r.energy_mut().charge_static(self.clock, leak, cycles);
-            }
-            let il = self.icache.leakage_mw();
-            self.icache
-                .energy_mut()
-                .charge_static(self.clock, il, cycles);
-            let dl = self.dcache.leakage_mw();
-            self.dcache
-                .energy_mut()
-                .charge_static(self.clock, dl, cycles);
-            // Parked cores' caches leak for the whole run too.
-            let clock = self.clock;
-            if let Some(hub) = self.coh.as_deref_mut() {
-                for pair in hub.parked.iter_mut().flatten() {
-                    let il = pair.0.leakage_mw();
-                    pair.0.energy_mut().charge_static(clock, il, cycles);
-                    let dl = pair.1.leakage_mw();
-                    pair.1.energy_mut().charge_static(clock, dl, cycles);
-                }
+                r.energy_mut().charge_static(self.clock, leak, self.cycle);
             }
             self.finished = true;
         }
@@ -1649,22 +1630,18 @@ impl Machine {
                 .enumerate()
                 .map(|(i, r)| RegionStats {
                     name: r.spec().name().to_string(),
-                    device: r.stats(),
                     program_reads: self.program_rw[i].0,
                     program_writes: self.program_rw[i].1,
                     max_line_writes: r.max_line_writes(),
                     dyn_evictions: self.dyn_evictions[i],
                     total_writes: r.total_writes(),
-                    energy: r.energy().breakdown(),
+                    energy: *r.energy(),
                     leakage_mw: r.leakage_mw(),
                 })
                 .collect(),
             icache: self.icache.stats(),
             dcache: self.dcache.stats(),
             dram: self.dram.stats(),
-            icache_energy: self.icache.energy().breakdown(),
-            dcache_energy: self.dcache.energy().breakdown(),
-            dram_energy: self.dram.energy().breakdown(),
             faults: self.faults.as_ref().map(|f| f.stats),
         }
     }

@@ -3,8 +3,6 @@
 use ftspm_ecc::ProtectionScheme;
 use ftspm_mem::{EnergyAccount, RegionGeometry, TechParams, Technology, WORD_BYTES};
 
-use crate::stats::DeviceStats;
-
 /// Static description of one scratchpad region (a row of the paper's
 /// Table IV): its technology, protection code, and capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +56,7 @@ impl SpmRegionSpec {
 }
 
 /// Runtime state of one scratchpad region: backing storage, per-line
-/// write counters (endurance), access statistics and energy account.
+/// write counters (endurance) and energy account.
 #[derive(Debug, Clone)]
 pub struct SpmRegion {
     spec: SpmRegionSpec,
@@ -73,7 +71,9 @@ pub struct SpmRegion {
     /// The largest entry of `line_writes`, kept as writes land so that a
     /// statistics snapshot does not scan every line.
     max_line_writes: u64,
-    stats: DeviceStats,
+    /// Every write the region absorbed, DMA fills included (the sum of
+    /// `line_writes`).
+    writes: u64,
     energy: EnergyAccount,
 }
 
@@ -90,7 +90,7 @@ impl SpmRegion {
             storage: vec![0; bytes],
             line_writes: vec![0; bytes / WORD_BYTES as usize],
             max_line_writes: 0,
-            stats: DeviceStats::default(),
+            writes: 0,
             energy: EnergyAccount::new(),
         }
     }
@@ -109,23 +109,17 @@ impl SpmRegion {
     pub fn read_word(&mut self, offset: u32) -> (u32, u32) {
         let i = offset as usize;
         let value = u32::from_le_bytes(self.storage[i..i + 4].try_into().expect("aligned word"));
-        self.stats.reads += 1;
-        let cycles = self.params.read_latency;
-        self.stats.read_cycles += u64::from(cycles);
         self.energy.add_read(self.read_pj);
-        (value, cycles)
+        (value, self.params.read_latency)
     }
 
     /// Charges `count` reads at `offset` without returning values (used
-    /// for instruction fetches, which only need timing/energy/stats);
+    /// for instruction fetches, which only need timing and energy);
     /// returns the cycle cost.
     pub fn read_batch(&mut self, offset: u32, count: u32) -> u32 {
         debug_assert!((offset as usize) < self.storage.len());
-        self.stats.reads += u64::from(count);
-        let cycles = self.params.read_latency * count;
-        self.stats.read_cycles += u64::from(cycles);
         self.energy.add_reads(u64::from(count), self.read_pj);
-        cycles
+        self.params.read_latency * count
     }
 
     /// Writes one word; returns the cycle cost and bumps the line's wear
@@ -137,11 +131,9 @@ impl SpmRegion {
         let line = &mut self.line_writes[i / WORD_BYTES as usize];
         *line += 1;
         self.max_line_writes = self.max_line_writes.max(*line);
-        self.stats.writes += 1;
-        let cycles = self.params.write_latency;
-        self.stats.write_cycles += u64::from(cycles);
+        self.writes += 1;
         self.energy.add_write(self.write_pj);
-        cycles
+        self.params.write_latency
     }
 
     /// XORs `mask` into the stored word at `offset` without touching
@@ -156,11 +148,6 @@ impl SpmRegion {
         let i = offset as usize;
         let v = u32::from_le_bytes(self.storage[i..i + 4].try_into().expect("word"));
         self.storage[i..i + 4].copy_from_slice(&(v ^ mask).to_le_bytes());
-    }
-
-    /// Access statistics so far.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
     }
 
     /// Energy account (mutable access is reserved for the machine, which
@@ -187,7 +174,7 @@ impl SpmRegion {
     /// Total writes across all lines: every write lands on exactly one
     /// line, so this is the region's write count.
     pub fn total_writes(&self) -> u64 {
-        self.stats.writes
+        self.writes
     }
 
     /// Per-line write counters (one per 32-bit word).
@@ -269,12 +256,12 @@ mod tests {
         let mut r = region(2, Technology::SramSecDed, ProtectionScheme::SecDed);
         r.write_word(0, 7);
         r.read_word(0);
-        r.read_word(0);
-        let s = r.stats();
-        assert_eq!((s.reads, s.writes), (2, 1));
-        assert_eq!(s.read_cycles, 4);
-        let e = r.energy().breakdown();
-        assert_eq!(e.reads, 2);
-        assert!(e.dynamic_pj() > 0.0);
+        assert_eq!(r.read_batch(0, 2), 4);
+        assert_eq!(r.total_writes(), 1);
+        let (read_pj, write_pj) = (r.read_pj, r.write_pj);
+        assert!(read_pj > 0.0 && write_pj > 0.0);
+        let e = r.energy();
+        assert_eq!((e.read_pj, e.write_pj), (read_pj + 2.0 * read_pj, write_pj));
+        assert_eq!(e.dynamic_pj(), e.read_pj + write_pj);
     }
 }

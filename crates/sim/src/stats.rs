@@ -1,20 +1,17 @@
 //! Statistics snapshots.
 
-use ftspm_mem::EnergyBreakdown;
+use ftspm_mem::EnergyAccount;
 
 use crate::fault::FaultStats;
 
-/// Raw access counters of one memory device.
+/// Raw access counters of one off-chip device: an L1 cache counts hits,
+/// misses and writebacks, the DRAM counts the words it reads and writes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
-    /// Word reads served.
+    /// Word reads served (DRAM only).
     pub reads: u64,
-    /// Word writes served.
+    /// Word writes served (DRAM only).
     pub writes: u64,
-    /// Cycles spent in reads.
-    pub read_cycles: u64,
-    /// Cycles spent in writes.
-    pub write_cycles: u64,
     /// Cache hits (caches only).
     pub hits: u64,
     /// Cache misses (caches only).
@@ -23,30 +20,11 @@ pub struct DeviceStats {
     pub writebacks: u64,
 }
 
-impl DeviceStats {
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Hit rate (caches only); 0 if never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Per-SPM-region statistics as exposed in [`MachineStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionStats {
     /// Region name (from its spec).
     pub name: String,
-    /// Access counters, including DMA traffic.
-    pub device: DeviceStats,
     /// Program (non-DMA) reads.
     pub program_reads: u64,
     /// Program (non-DMA) writes.
@@ -55,10 +33,10 @@ pub struct RegionStats {
     pub max_line_writes: u64,
     /// Dynamic-placement evictions served by this region.
     pub dyn_evictions: u64,
-    /// Total writes across lines.
+    /// Total writes across lines, DMA fills included.
     pub total_writes: u64,
     /// Region energy.
-    pub energy: EnergyBreakdown,
+    pub energy: EnergyAccount,
     /// Region leakage power, mW.
     pub leakage_mw: f64,
 }
@@ -72,18 +50,16 @@ pub struct MachineStats {
     pub instructions: u64,
     /// Per-region statistics, in region-id order.
     pub regions: Vec<RegionStats>,
-    /// L1 instruction cache counters.
+    /// L1 instruction cache counters. On a multi-core machine this is the
+    /// active core's cache; [`crate::MultiMachine::core_caches`] gives
+    /// each core's.
     pub icache: DeviceStats,
-    /// L1 data cache counters.
+    /// L1 data cache counters. On a multi-core machine this is the active
+    /// core's cache; [`crate::MultiMachine::core_caches`] gives each
+    /// core's.
     pub dcache: DeviceStats,
     /// Off-chip DRAM counters.
     pub dram: DeviceStats,
-    /// Energy of the instruction cache.
-    pub icache_energy: EnergyBreakdown,
-    /// Energy of the data cache.
-    pub dcache_energy: EnergyBreakdown,
-    /// Energy of the DRAM (off-chip; excluded from SPM comparisons).
-    pub dram_energy: EnergyBreakdown,
     /// Live fault-injection and recovery counters (`None` when the run
     /// had no fault configuration).
     pub faults: Option<FaultStats>,
@@ -91,10 +67,10 @@ pub struct MachineStats {
 
 impl MachineStats {
     /// Summed energy of all SPM regions (the quantity Figs. 6–7 compare).
-    pub fn spm_energy(&self) -> EnergyBreakdown {
+    pub fn spm_energy(&self) -> EnergyAccount {
         self.regions
             .iter()
-            .fold(EnergyBreakdown::default(), |acc, r| acc.merged(&r.energy))
+            .fold(EnergyAccount::default(), |acc, r| acc.merged(&r.energy))
     }
 
     /// Summed SPM leakage power, mW.
@@ -108,22 +84,5 @@ impl MachineStats {
             .iter()
             .map(|r| r.program_reads + r.program_writes)
             .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hit_rate_handles_empty() {
-        assert_eq!(DeviceStats::default().hit_rate(), 0.0);
-        let s = DeviceStats {
-            hits: 3,
-            misses: 1,
-            ..Default::default()
-        };
-        assert_eq!(s.hit_rate(), 0.75);
-        assert_eq!(s.accesses(), 0);
     }
 }

@@ -4,13 +4,14 @@
 //! LRU eviction, or off-chip through the caches — the *values* a program
 //! reads must match a plain array model, the cycle counter must be
 //! strictly monotone over accesses, and `finish` must land every dirty
-//! word in the DRAM home copy.
+//! word in the DRAM home copy. The machine's counters must equal what
+//! its access events report.
 
 use ftspm_ecc::ProtectionScheme;
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_sim::{
-    BlockId, Cpu, CpuConfig, Machine, MachineConfig, NullObserver, PlacementMap, Program, RegionId,
-    SpmRegionSpec,
+    AccessEvent, AccessKind, BlockId, Cpu, CpuConfig, Machine, MachineConfig, NullObserver,
+    Observer, PlacementMap, Program, RegionId, SpmRegionSpec, Target,
 };
 use ftspm_testkit::prop::{
     any_int, check, int_range, vec_exact, vec_of, Config, Strategy, StrategyExt,
@@ -161,12 +162,36 @@ fn regression_dynamic_block_read_sees_home_copy() {
     check_values_match_reference(&[1, 2, 0, 1], &[Op::Read { block: 1, word: 0 }]);
 }
 
+/// Sums the word counts of the access events, per region as
+/// `[program reads and fetches, program writes, DMA-fill words]`, and the
+/// dcache events.
+#[derive(Default)]
+struct Tally {
+    regions: [[u64; 3]; 2],
+    dcache: u64,
+}
+
+impl Observer for Tally {
+    fn on_access(&mut self, e: &AccessEvent) {
+        let n = u64::from(e.count);
+        match (e.target, e.kind, e.dma) {
+            (Target::Region(r), AccessKind::Read | AccessKind::Fetch, false) => {
+                self.regions[r.index()][0] += n
+            }
+            (Target::Region(r), AccessKind::Write, false) => self.regions[r.index()][1] += n,
+            (Target::Region(r), AccessKind::Write, true) => self.regions[r.index()][2] += n,
+            (Target::DCache { .. }, _, _) => self.dcache += 1,
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn energy_and_stats_accumulate_monotonically() {
     check(&cfg(), &vec_of(op_strategy(), 1..100), |ops| {
         let (mut m, blocks) = build(&[2, 2, 2, 2]);
         let code = m.program().find("F").unwrap();
-        let mut o = NullObserver;
+        let mut o = Tally::default();
         let mut cpu = Cpu::with_config(
             &mut m,
             &mut o,
@@ -175,6 +200,7 @@ fn energy_and_stats_accumulate_monotonically() {
             },
         );
         cpu.call(code).unwrap();
+        cpu.execute(8).unwrap();
         for op in ops {
             match *op {
                 Op::Write { block, word, value } => {
@@ -195,9 +221,15 @@ fn energy_and_stats_accumulate_monotonically() {
             .sum::<u64>()
             + stats.dcache.hits
             + stats.dcache.misses;
-        // Data ops (not counting stack spills, DMA, fetches) must all be
-        // served somewhere.
-        assert!(total_served >= ops.len() as u64);
+        // Every data op is served once, besides the 8 fetches and the
+        // off-chip stack's spill and reload.
+        assert_eq!(total_served, ops.len() as u64 + 8 + 2);
+        for (r, [reads, writes, fills]) in stats.regions.iter().zip(o.regions) {
+            assert_eq!(r.program_reads, reads, "{}", r.name);
+            assert_eq!(r.program_writes, writes, "{}", r.name);
+            assert_eq!(r.total_writes, writes + fills, "{}", r.name);
+        }
+        assert_eq!(stats.dcache.hits + stats.dcache.misses, o.dcache);
         let spm = stats.spm_energy();
         assert!(spm.dynamic_pj() > 0.0);
         assert!(spm.static_pj > 0.0, "finish charges leakage");
