@@ -67,8 +67,8 @@ SUITES=(
     "-p ftspm-serve --test differential --test parser_props"
     # Production serve (§14): N pipelined requests byte-identical to N
     # fresh-connection requests, cache hits byte-identical to their
-    # miss, the async job API's lifecycle and eviction.
-    "-p ftspm-serve --test keepalive --test jobs_cache"
+    # miss, LRU eviction, deadline caching and the panic bypass.
+    "-p ftspm-serve --test keepalive --test result_cache"
     # Traces (§15): FTSPMTRC round-trip/torn-tail properties, refit
     # stability, served replay ≡ in-process run, canonical spec bytes.
     "-p ftspm-trace --test trace_props --test fit_props -p ftspm-serve --test trace_differential --test spec_goldens"

@@ -179,14 +179,10 @@ pub fn fig5(evals: &[WorkloadEvaluation]) -> String {
         "{:<14} {:>12} {:>12} {:>10}",
         "Workload", "pure SRAM", "FTSPM", "ratio"
     );
-    let mut ratios = Vec::new();
     for e in evals {
         let sram = e.pure_sram.vulnerability;
         let ft = e.ftspm.vulnerability;
         let ratio = if ft > 0.0 { sram / ft } else { f64::INFINITY };
-        if ratio.is_finite() {
-            ratios.push(ratio);
-        }
         let _ = writeln!(
             s,
             "{:<14} {:>12.4} {:>12.4} {:>9.1}x",

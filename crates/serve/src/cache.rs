@@ -50,7 +50,7 @@ impl CacheKey {
         )
     }
 
-    /// The 32-hex-character rendering — also the job API's job id.
+    /// The 32-hex-character rendering.
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0, self.1)

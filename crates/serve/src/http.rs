@@ -368,8 +368,8 @@ impl Response {
         }
     }
 
-    /// A JSON response with an explicit status (the job API's 202s and
-    /// replayed terminal reports).
+    /// A JSON response with an explicit status (a job's outcome, fresh
+    /// or replayed from the cache, or a trace upload's reply).
     pub fn json_status(status: u16, body: String) -> Self {
         Self {
             status,
@@ -412,12 +412,10 @@ impl Response {
     fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
-            202 => "Accepted",
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
-            409 => "Conflict",
             411 => "Length Required",
             413 => "Payload Too Large",
             414 => "URI Too Long",

@@ -527,8 +527,7 @@ impl JobSpec {
     }
 
     /// Renders the decoded spec as a total, fixed-order canonical
-    /// string — the result cache's content address and the job API's
-    /// identity.
+    /// string — the result cache's content address.
     ///
     /// Canonicalisation happens on the *decoded* spec, not the raw
     /// body: whitespace, JSON field order, and defaulted fields all

@@ -4,17 +4,14 @@
 //! evaluation jobs as JSON, runs them through the harness front door
 //! ([`RunBuilder`]), and streams the report back. Connections are
 //! keep-alive: a client may pipeline many requests down one socket
-//! (bounded per-connection and by an idle window), and long campaigns
-//! go through the async job API instead of pinning a socket. The
+//! (bounded per-connection and by an idle window). Every job runs
+//! inside the request that carried it, through one cached path. The
 //! endpoints:
 //!
 //! | endpoint | does |
 //! |---|---|
 //! | `POST /v1/run` | one job → one report |
 //! | `POST /v1/batch` | array of jobs → array of reports, fanned out over the worker pool, merged in input order; jobs on one workload share one profiling pass |
-//! | `POST /v1/jobs` | submit a job asynchronously → `202` + deterministic content-addressed job id |
-//! | `GET /v1/jobs/{id}` | poll a job: state while pending, the terminal report once finished |
-//! | `DELETE /v1/jobs/{id}` | cancel a queued job (running/finished → `409`) |
 //! | `POST /v1/traces` | upload a binary `FTSPMTRC` access trace → content-addressed trace id for `{"workload": {"trace"\|"fit": id}}` jobs |
 //! | `GET`/`HEAD` `/healthz` | liveness probe |
 //! | `GET`/`HEAD` `/metrics` | CSV snapshot of the service's metrics registry |
@@ -53,7 +50,6 @@
 pub mod cache;
 pub mod http;
 pub mod job;
-pub mod jobs;
 pub mod json;
 pub mod server;
 pub mod traces;
@@ -64,6 +60,5 @@ pub use ftspm_trace::{TraceId, WorkloadSource};
 pub use job::{
     render_multi_report, render_report, structure_token, JobError, JobOutput, JobRunError, JobSpec,
 };
-pub use jobs::{JobState, JobTable};
 pub use server::{ServeConfig, ServeError, Server, MAX_BATCH_JOBS};
 pub use traces::{Stored, TraceTable};

@@ -1,14 +1,13 @@
-//! The service itself: a bounded-queue accept loop, a connection
-//! worker pool, and an async job-runner pool.
+//! The service itself: a bounded-queue accept loop and a connection
+//! worker pool.
 //!
 //! Threading model: one accept thread pushes accepted connections onto
 //! a bounded queue; `workers` pool threads pop and serve them — each
 //! connection through a keep-alive loop that parses sequential
 //! requests off the same socket until the client closes, asks to
 //! close, exceeds the per-connection request bound, or sits idle past
-//! the idle window (a typed 408). A separate pool of `workers` job
-//! runners drains the async job table, so a long campaign submitted
-//! via `POST /v1/jobs` never pins a socket or a connection worker.
+//! the idle window (a typed 408). Every job runs inside the request
+//! that carried it, so no work outlives a response.
 //! When the connection queue is full the **accept thread** answers
 //! `503` with `retry-after` directly — backpressure is explicit and
 //! immediate, not a silently growing buffer. Batch requests fan out
@@ -18,14 +17,14 @@
 //! size. The elements of one batch that share a
 //! [`JobSpec::profile_key`] share one profiling pass.
 //!
-//! Every execution path — `/v1/run`, `/v1/batch` elements, and job
-//! runners — goes through the content-addressed result cache
+//! Every execution path — `/v1/run` and each `/v1/batch` element — goes
+//! through the content-addressed result cache
 //! ([`crate::cache`]): the determinism contract makes a hit
 //! byte-identical to the fresh run it replaces, so the cache changes
 //! `serve.cache.*` counters and latency, nothing else.
 //!
-//! Lock discipline: `queue`, `registry`, `cache`, `jobs`, and `traces`
-//! are five independent mutexes and no code path holds two at once —
+//! Lock discipline: `queue`, `registry`, `cache`, and `traces` are
+//! four independent mutexes and no code path holds two at once —
 //! lock, update, unlock, then take the next (the trace resolver locks,
 //! clones an `Arc`, and unlocks before any run state exists). That
 //! makes deadlock impossible by construction and keeps panic poisoning
@@ -33,9 +32,8 @@
 //! update.
 //!
 //! Shutdown is graceful: [`Server::shutdown`] stops accepting, lets the
-//! workers drain every connection already queued and the runners drain
-//! every claimable job, and joins all threads. Dropping the server does
-//! the same.
+//! workers drain every connection already queued, and joins all
+//! threads. Dropping the server does the same.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -56,7 +54,6 @@ use ftspm_trace::{Tail, Trace, TraceId, TraceResolver, WorkloadSource};
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::http::{read_next_request, HttpError, Request, Response};
 use crate::job::{JobError, JobOutput, JobRunError, JobSpec};
-use crate::jobs::{Cancelled, JobState, JobTable, Submitted};
 use crate::json::{self, Json};
 use crate::traces::{Stored, TraceTable};
 
@@ -125,9 +122,6 @@ pub struct ServeConfig {
     /// Result-cache entries held (LRU); 0 disables caching. Defaults
     /// to 128.
     pub cache_capacity: usize,
-    /// Async job-table entries held; when full of live jobs, new
-    /// submissions get 503. Defaults to 256, minimum 1.
-    pub job_capacity: usize,
     /// Uploaded traces held (oldest evicted when full; every stored
     /// trace is evictable, so uploads never 503). Defaults to 64,
     /// minimum 1.
@@ -143,7 +137,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1024,
             cache_capacity: 128,
-            job_capacity: 256,
             trace_capacity: 64,
         }
     }
@@ -159,8 +152,6 @@ struct Shared {
     ready: Condvar,
     registry: Mutex<MetricsRegistry>,
     cache: Mutex<ResultCache>,
-    jobs: Mutex<JobTable>,
-    jobs_ready: Condvar,
     traces: Mutex<TraceTable>,
     config: ServeConfig,
 }
@@ -190,7 +181,6 @@ pub struct Server {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    runners: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -229,8 +219,6 @@ impl Server {
             ready: Condvar::new(),
             registry: Mutex::new(MetricsRegistry::new()),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            jobs: Mutex::new(JobTable::new(config.job_capacity)),
-            jobs_ready: Condvar::new(),
             traces: Mutex::new(TraceTable::new(config.trace_capacity)),
             config,
         });
@@ -239,7 +227,6 @@ impl Server {
             shared: Arc::clone(&shared),
             accept: None,
             workers: Vec::new(),
-            runners: Vec::new(),
         };
         for i in 0..shared.config.workers.get() {
             let shared = Arc::clone(&shared);
@@ -250,14 +237,6 @@ impl Server {
             // On a later spawn failure, `server` drops here and its
             // shutdown path joins the workers already running.
             server.workers.push(worker);
-        }
-        for i in 0..shared.config.workers.get() {
-            let shared = Arc::clone(&shared);
-            let runner = std::thread::Builder::new()
-                .name(format!("serve-job-runner-{i}"))
-                .spawn(move || job_runner_loop(&shared))
-                .map_err(ServeError::Spawn)?;
-            server.runners.push(runner);
         }
         let accept = {
             let shared = Arc::clone(&shared);
@@ -275,9 +254,8 @@ impl Server {
         self.addr
     }
 
-    /// Stops accepting, drains every already-queued connection and
-    /// every claimable job, and joins all service threads. Idempotent;
-    /// also runs on drop.
+    /// Stops accepting, drains every already-queued connection, and
+    /// joins all service threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         {
             let mut q = relock(&self.shared.queue);
@@ -287,8 +265,6 @@ impl Server {
             q.shutdown = true;
         }
         self.shared.ready.notify_all();
-        relock(&self.shared.jobs).begin_shutdown();
-        self.shared.jobs_ready.notify_all();
         // The accept thread is parked in accept(); poke it awake so it
         // observes the flag. The connection itself is queued and served
         // (or refused) like any other — harmless either way.
@@ -298,9 +274,6 @@ impl Server {
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        for runner in self.runners.drain(..) {
-            let _ = runner.join();
         }
     }
 }
@@ -483,31 +456,6 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     }
 }
 
-/// The async job-runner loop: claims queued jobs, executes them through
-/// the same cached path as `/v1/run`, and records the terminal state.
-/// On shutdown, runners drain every job still claimable, then exit.
-fn job_runner_loop(shared: &Shared) {
-    loop {
-        let (id, spec) = {
-            let mut jobs = relock(&shared.jobs);
-            loop {
-                if let Some(claim) = jobs.claim_next() {
-                    break claim;
-                }
-                if jobs.shutting_down() {
-                    return;
-                }
-                jobs = shared
-                    .jobs_ready
-                    .wait(jobs)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let (status, body) = run_cached(&spec, shared, &OnceLock::new());
-        relock(&shared.jobs).finish(&id, status, body);
-    }
-}
-
 fn http_error_response(e: &HttpError) -> Response {
     Response::error(e.status(), &e.to_string())
 }
@@ -608,9 +556,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one spec under `catch_unwind`, profiling through `pass` (see
-/// [`JobSpec::profile_key`]): the worker thread survives any panic
-/// inside the harness or a `chaos_panic` hook, and a deadline
-/// cancellation comes back as data. `AssertUnwindSafe` is sound here
+/// [`JobSpec::profile_key`]): the thread that runs it — a connection
+/// worker, or a `/v1/batch` fan-out thread — survives any panic inside
+/// the harness or a `chaos_panic` hook, and a deadline cancellation
+/// comes back as data. `AssertUnwindSafe` is sound here
 /// because the closure owns everything it touches — the spec is read
 /// only, the resolver only clones `Arc`s out of the trace table, all
 /// run state is constructed, used, and dropped inside, and a pass that
@@ -633,17 +582,17 @@ fn execute_spec(spec: &JobSpec, shared: &Shared, pass: &OnceLock<ProfilePass>) -
 }
 
 /// Runs one spec through the result cache, with full accounting, and
-/// returns the `(status, body)` every caller — `/v1/run`, a `/v1/batch`
-/// element, a job runner — answers with.
+/// returns the `(status, body)` every caller — `/v1/run` or a
+/// `/v1/batch` element — answers with.
 ///
 /// A hit replays the stored result: same status, same body bytes, and
 /// the same registry accounting a fresh run would have performed
 /// ([`count_job`]), plus `serve.cache.hit`. The determinism
 /// contract is what makes this sound — the stored bytes *are* the bytes
 /// a fresh run would produce. A miss counts `serve.cache.miss`, runs,
-/// and caches any non-panic outcome; panics are never cached (there is
-/// no deterministic result to replay) and `chaos_panic` specs bypass
-/// the cache entirely. A hit never touches `pass`; a miss profiles
+/// and caches a report or a deadline kill; panics are never cached
+/// (there is no deterministic result to replay), nor are unresolved
+/// workloads, and `chaos_panic` specs bypass the cache entirely. A hit never touches `pass`; a miss profiles
 /// through it.
 fn run_cached(spec: &JobSpec, shared: &Shared, pass: &OnceLock<ProfilePass>) -> (u16, String) {
     let key = spec.cacheable().then(|| CacheKey::of(&spec.canonical()));
@@ -704,20 +653,10 @@ fn route(request: &Request, shared: &Shared) -> Response {
         }
         ("POST", "/v1/run") => run_one(&request.body, shared),
         ("POST", "/v1/batch") => run_batch(&request.body, shared),
-        ("POST", "/v1/jobs") => submit_job(&request.body, shared),
         ("POST", "/v1/traces") => upload_trace(&request.body, shared),
         (_, "/healthz" | "/metrics") => Response::method_not_allowed("GET, HEAD"),
-        (_, "/v1/run" | "/v1/batch" | "/v1/jobs" | "/v1/traces") => {
-            Response::method_not_allowed("POST")
-        }
-        (method, path) => match path.strip_prefix("/v1/jobs/") {
-            Some(id) => match method {
-                "GET" => job_status(id, shared),
-                "DELETE" => job_cancel(id, shared),
-                _ => Response::method_not_allowed("GET, DELETE"),
-            },
-            None => Response::error(404, "unknown path"),
-        },
+        (_, "/v1/run" | "/v1/batch" | "/v1/traces") => Response::method_not_allowed("POST"),
+        _ => Response::error(404, "unknown path"),
     }
 }
 
@@ -728,34 +667,6 @@ fn run_one(body: &[u8], shared: &Shared) -> Response {
     };
     let (status, body) = run_cached(&spec, shared, &OnceLock::new());
     Response::json_status(status, body)
-}
-
-/// `POST /v1/jobs`: decode, derive the deterministic content-addressed
-/// id, enqueue (or dedupe), answer 202.
-fn submit_job(body: &[u8], shared: &Shared) -> Response {
-    let spec = match JobSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(e) => return job_error_response(&e),
-    };
-    let id = CacheKey::of(&spec.canonical()).hex();
-    let submitted = relock(&shared.jobs).submit(id.clone(), spec);
-    let state = match submitted {
-        Submitted::Queued { evicted } => {
-            if evicted {
-                relock(&shared.registry).incr("serve.jobs.evicted");
-            }
-            shared.jobs_ready.notify_one();
-            "queued"
-        }
-        Submitted::Existing(label) => label,
-        Submitted::Full => {
-            return Response {
-                retry_after: Some(1),
-                ..Response::error(503, "job table full of live jobs; retry shortly")
-            };
-        }
-    };
-    Response::json_status(202, format!("{{\"job\":\"{id}\",\"state\":\"{state}\"}}"))
 }
 
 /// `POST /v1/traces`: ingest a binary `FTSPMTRC` trace. The body is
@@ -808,35 +719,6 @@ fn upload_trace(body: &[u8], shared: &Shared) -> Response {
             json::escape(&name)
         ),
     )
-}
-
-/// `GET /v1/jobs/{id}`: a pending job reports its state; a finished job
-/// replays its terminal response — the exact status and bytes `/v1/run`
-/// would have answered.
-fn job_status(id: &str, shared: &Shared) -> Response {
-    match relock(&shared.jobs).get(id) {
-        None => Response::error(404, "unknown job"),
-        Some(JobState::Finished { status, body }) => Response::json_status(*status, body.clone()),
-        Some(state) => Response::json_status(
-            200,
-            format!("{{\"job\":\"{id}\",\"state\":\"{}\"}}", state.label()),
-        ),
-    }
-}
-
-/// `DELETE /v1/jobs/{id}`: cancels a queued job; running and finished
-/// jobs answer 409 (their outcome is already determined).
-fn job_cancel(id: &str, shared: &Shared) -> Response {
-    match relock(&shared.jobs).cancel(id) {
-        Cancelled::Done => {
-            Response::json_status(200, format!("{{\"job\":\"{id}\",\"state\":\"cancelled\"}}"))
-        }
-        Cancelled::Conflict(label) => Response::error(
-            409,
-            &format!("job is {label}; only queued jobs can be cancelled"),
-        ),
-        Cancelled::Unknown => Response::error(404, "unknown job"),
-    }
 }
 
 fn run_batch(body: &[u8], shared: &Shared) -> Response {
@@ -1083,6 +965,16 @@ mod tests {
         assert_eq!(wrong_method.status, 405);
         let wrong_method = http_request(server.addr(), "GET", "/v1/run", b"").expect("405");
         assert_eq!(wrong_method.status, 405);
+        // A path no route serves is a 404 whatever the method; the
+        // removed job-API paths included.
+        for (method, path) in [
+            ("POST", "/v1/jobs"),
+            ("GET", "/v1/jobs/abc123"),
+            ("DELETE", "/v1/jobs/abc123"),
+        ] {
+            let gone = http_request(server.addr(), method, path, b"").expect("404");
+            assert_eq!(gone.status, 404, "{method} {path}");
+        }
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! re-uploading the same bytes is idempotent — the table dedupes
 //! instead of storing a second copy.
 //!
-//! The table is bounded like [`crate::jobs::JobTable`], with one
-//! difference: every entry is always evictable (a stored trace has no
-//! lifecycle — it is data at rest), so an upload never answers 503;
-//! when full, the oldest trace is dropped. A job that references an
-//! evicted trace gets the typed 422 (`unknown trace`), and re-uploading
-//! restores it under the same id.
+//! The table holds at most `capacity` traces in insertion order. Every
+//! entry is always evictable (a stored trace has no lifecycle — it is
+//! data at rest), so an upload never answers 503; when full, the oldest
+//! trace is dropped. A job that references an evicted trace gets the
+//! typed 422 (`unknown trace`), and re-uploading restores it under the
+//! same id.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

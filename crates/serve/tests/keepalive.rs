@@ -125,8 +125,6 @@ fn wrong_methods_get_405_with_an_allow_header() {
         ("DELETE", "/metrics", "GET, HEAD"),
         ("GET", "/v1/run", "POST"),
         ("GET", "/v1/batch", "POST"),
-        ("PUT", "/v1/jobs", "POST"),
-        ("PATCH", "/v1/jobs/abc123", "GET, DELETE"),
     ] {
         let reply = http_request(server.addr(), method, path, b"").expect("405 reply");
         assert_eq!(reply.status, 405, "{method} {path}");

@@ -1,13 +1,12 @@
 //! Canonical-string goldens: the content address of a job spec is the
-//! cache key, the async job id, and the dedupe key — so its rendering
-//! is wire format, not an implementation detail. These tests pin the
+//! result cache's key — so its rendering is a durable format, not an
+//! implementation detail. These tests pin the
 //! exact bytes.
 //!
 //! The `WorkloadSource` redesign rebuilt the decoder on a four-variant
 //! source type; the legacy two-variant renderings (named kernel,
 //! inline synthetic) are pinned here byte-for-byte so every cache line
-//! and job id minted before the redesign still addresses the same
-//! work. The two new variants (`trace`, `fit`) get their own pinned
+//! minted before the redesign still addresses the same work. The two new variants (`trace`, `fit`) get their own pinned
 //! fragments.
 //!
 //! Two `"metrics": true` jobs also pin their whole response body, so
