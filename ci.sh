@@ -91,10 +91,14 @@ for suite in "${SUITES[@]}"; do
 done
 
 # Trace smoke: record a kernel, and `diff` proves the replay fixed point
-# and bounds refit drift (exits nonzero on either).
+# and bounds refit drift (exits nonzero on either). patricia is the
+# largest upload in loadbench's trace pool (~0.85 MiB, ~194k ops over
+# many chunks), so it walks the resident op stream across chunk seams.
 TRACE_DIR="$(mktemp -d)"
-"$PWD/target/release/repro" trace record bitcount --out "$TRACE_DIR/k.trc" > /dev/null
-"$PWD/target/release/repro" trace diff "$TRACE_DIR/k.trc" > /dev/null
+for kernel in bitcount patricia; do
+    "$PWD/target/release/repro" trace record "$kernel" --out "$TRACE_DIR/$kernel.trc" > /dev/null
+    "$PWD/target/release/repro" trace diff "$TRACE_DIR/$kernel.trc" > /dev/null
+done
 rm -rf "$TRACE_DIR"
 
 REPRO="$PWD/target/release/repro"

@@ -145,7 +145,7 @@ fn run_trace_cli(args: &[String]) -> ! {
         if tail == Tail::Torn {
             eprintln!(
                 "[repro] warning: {path} has a torn tail ({} of {} ops survive)",
-                trace.records.len(),
+                trace.decoded_ops(),
                 trace.op_count
             );
         }

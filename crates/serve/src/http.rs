@@ -419,6 +419,7 @@ impl Response {
             411 => "Length Required",
             413 => "Payload Too Large",
             414 => "URI Too Long",
+            422 => "Unprocessable Content",
             431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             501 => "Not Implemented",
@@ -678,6 +679,16 @@ mod tests {
         assert!(head.contains("content-length: 11\r\n"));
         assert!(head.ends_with("\r\n\r\n"));
         assert_eq!(format!("{head}{{\"ok\":true}}"), fresh);
+    }
+
+    #[test]
+    fn unprocessable_content_has_its_own_reason_phrase() {
+        let frame = Response::error(422, "unknown trace").render(true, false);
+        let text = String::from_utf8(frame).expect("ascii frame");
+        assert!(
+            text.starts_with("HTTP/1.1 422 Unprocessable Content\r\n"),
+            "{text}"
+        );
     }
 
     #[test]

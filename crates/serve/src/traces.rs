@@ -34,6 +34,14 @@ pub enum Stored {
 }
 
 /// The bounded trace store; one per server, behind a mutex.
+///
+/// Each entry holds a decoded [`Trace`]: the program, the sparse init
+/// snapshot and the ops as one canonical varint stream
+/// ([`Trace::op_stream_bytes`] is at most the upload's op-chunk
+/// payload, about 5 bytes per op). An entry therefore occupies about
+/// its upload's size: the op streams of loadbench's `trace_ingest`
+/// pool average 0.66 MiB (about 5 bytes per op), so a full 64-entry
+/// table holds about 42 MiB of them.
 pub struct TraceTable {
     entries: HashMap<TraceId, Arc<Trace>>,
     /// Insertion order — the eviction queue.

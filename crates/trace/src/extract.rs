@@ -145,14 +145,14 @@ pub fn fit(trace: &Trace) -> TraceModel {
             last_use: None,
         })
         .collect();
-    let end_cycle = trace.records.last().map_or(1, |r| r.cycle + 1);
+    let end_cycle = trace.last_cycle().map_or(1, |cycle| cycle + 1);
     let mut window_accesses = [0u64; WINDOWS];
     let mut window_writes = [0u64; WINDOWS];
     let mut gap_histogram = [0u64; 32];
     let (mut accesses, mut writes) = (0u64, 0u64);
     let mut prev_access_cycle: Option<u64> = None;
     let (mut runs, mut prev_block): (u64, Option<BlockId>) = (0, None);
-    for rec in &trace.records {
+    for rec in trace.records() {
         let Some((block, is_write)) = data_access(&rec.op, stack) else {
             continue;
         };

@@ -131,6 +131,12 @@ pub struct BlockInit {
 
 /// A decoded (or recorded) access trace: everything needed to replay
 /// the source workload's exact memory event stream on a fresh machine.
+///
+/// The ops stay resident in their canonical wire form (the op-record
+/// encoding of the format, about 5 bytes per op) rather than as 32-byte
+/// [`TraceRecord`]s; [`Trace::records`] reads them back. Canonical
+/// bytes are equal exactly when the records are, so the derived
+/// equality is record equality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The recorded workload's name (reported by replays).
@@ -143,11 +149,11 @@ pub struct Trace {
     /// The replay checksum: an FNV fold over every value the recorded
     /// run's loads observed, in op order. A replay recomputes it.
     pub expected_checksum: u64,
-    /// Declared op count; `records.len()` equals this unless the tail
-    /// was torn.
+    /// Declared op count; [`Trace::decoded_ops`] equals this unless
+    /// the tail was torn.
     pub op_count: u64,
     /// The ops, in issue order (a clean prefix when torn).
-    pub records: Vec<TraceRecord>,
+    pub(crate) ops: OpStream,
 }
 
 /// Why a byte stream failed to decode as a trace.
@@ -508,6 +514,124 @@ fn encode_record(buf: &mut Vec<u8>, rec: &TraceRecord, prev_cycle: u64) {
     }
 }
 
+/// A validated op sequence in its canonical encoding: the exact bytes
+/// [`encode_record`] writes, record after record, with cycle deltas
+/// taken from the previous record. Only [`OpStream::push`] appends, so
+/// the bytes always read back without error.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct OpStream {
+    bytes: Vec<u8>,
+    /// Records in `bytes`.
+    len: u64,
+    /// Cycle of the last record (0 when empty).
+    last_cycle: u64,
+    /// Where [`Trace::encode`] cuts the stream into op chunks: after
+    /// the first record that brings the open chunk to
+    /// `CHUNK_TARGET_BYTES`.
+    cuts: Vec<usize>,
+}
+
+impl OpStream {
+    fn with_capacity(bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    /// Appends one record. Cycles must be nondecreasing.
+    pub(crate) fn push(&mut self, rec: &TraceRecord) {
+        encode_record(&mut self.bytes, rec, self.last_cycle);
+        self.len += 1;
+        self.last_cycle = rec.cycle;
+        let chunk_start = self.cuts.last().copied().unwrap_or(0);
+        if self.bytes.len() - chunk_start >= CHUNK_TARGET_BYTES {
+            self.cuts.push(self.bytes.len());
+        }
+    }
+
+    /// Records held.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Releases spare capacity, so the stream holds only its bytes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+}
+
+/// The infallible cursor over an [`OpStream`]: the stream was validated
+/// (or written) record by record, so every read lands on a whole record.
+struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    cycle: u64,
+}
+
+impl Records<'_> {
+    fn varint(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let byte = self.bytes[self.pos];
+            self.pos += 1;
+            v |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A varint the stream wrote from a `u32`.
+    fn word(&mut self) -> u32 {
+        self.varint() as u32
+    }
+
+    fn block(&mut self) -> BlockId {
+        BlockId::new(self.varint() as usize)
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        let &tag = self.bytes.get(self.pos)?;
+        self.pos += 1;
+        self.cycle += self.varint();
+        let op = match tag {
+            TAG_CALL => TraceOp::Call {
+                block: self.block(),
+            },
+            TAG_RET => TraceOp::Ret,
+            TAG_EXECUTE => TraceOp::Execute { count: self.word() },
+            TAG_READ => TraceOp::Read {
+                block: self.block(),
+                offset: self.word(),
+            },
+            TAG_WRITE => TraceOp::Write {
+                block: self.block(),
+                offset: self.word(),
+                value: self.word(),
+            },
+            TAG_STACK_READ => TraceOp::StackRead {
+                offset: self.word(),
+            },
+            TAG_STACK_WRITE => TraceOp::StackWrite {
+                offset: self.word(),
+                value: self.word(),
+            },
+            other => unreachable!("the op stream holds only validated tags, not {other}"),
+        };
+        Some(TraceRecord {
+            cycle: self.cycle,
+            op,
+        })
+    }
+}
+
 fn decode_block_ref(
     bytes: &[u8],
     pos: &mut usize,
@@ -528,18 +652,16 @@ fn check_word(program: &Program, block: BlockId, offset: u32) -> Result<(), Trac
     Ok(())
 }
 
-fn decode_ops(
-    chunk: &[u8],
-    program: &Program,
-    prev_cycle: &mut u64,
-    out: &mut Vec<TraceRecord>,
-) -> Result<(), TraceError> {
+/// Validates one op chunk and appends its records to `out` in
+/// canonical form (a padded varint upload re-encodes minimally).
+fn decode_ops(chunk: &[u8], program: &Program, out: &mut OpStream) -> Result<(), TraceError> {
     let pos = &mut 0usize;
     while *pos < chunk.len() {
         let tag = chunk[*pos];
         *pos += 1;
         let delta = get_varint(chunk, pos)?;
-        let cycle = prev_cycle
+        let cycle = out
+            .last_cycle
             .checked_add(delta)
             .ok_or_else(|| malformed("cycle counter overflows"))?;
         let op = match tag {
@@ -588,11 +710,10 @@ fn decode_ops(
             }
             other => return Err(malformed(format!("unknown op tag {other}"))),
         };
-        out.push(TraceRecord { cycle, op });
-        if out.len() as u64 > MAX_OPS {
+        out.push(&TraceRecord { cycle, op });
+        if out.len > MAX_OPS {
             return Err(malformed(format!("more than {MAX_OPS} ops")));
         }
-        *prev_cycle = cycle;
     }
     Ok(())
 }
@@ -603,28 +724,31 @@ impl Trace {
     /// equal [`TraceId`]s).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Framer::new(&header(), 64 + self.records.len() * 4);
-        out.push(&encode_header(self));
-        let mut chunk = Vec::with_capacity(CHUNK_TARGET_BYTES + 64);
-        let mut prev_cycle = 0u64;
-        for rec in &self.records {
-            encode_record(&mut chunk, rec, prev_cycle);
-            prev_cycle = rec.cycle;
-            if chunk.len() >= CHUNK_TARGET_BYTES {
-                out.push(&chunk);
-                chunk.clear();
+        let header_chunk = encode_header(self);
+        let ops = &self.ops.bytes;
+        let frames = 2 + self.ops.cuts.len();
+        let mut out = Framer::new(&header(), header_chunk.len() + ops.len() + 8 * frames);
+        out.push(&header_chunk);
+        // The resident stream already is the canonical record run, so
+        // each op chunk is a slice of it, cut where `push` marked.
+        let mut start = 0;
+        for end in self.ops.cuts.iter().copied().chain([ops.len()]) {
+            if end > start {
+                out.push(&ops[start..end]);
+                start = end;
             }
-        }
-        if !chunk.is_empty() {
-            out.push(&chunk);
         }
         out.finish()
     }
 
     /// Decodes a trace, streaming chunk by chunk and tolerating a torn
     /// tail: complete chunks replay, the partial tail is dropped and
-    /// reported as [`Tail::Torn`] (`records` is then a clean prefix of
-    /// the declared `op_count`).
+    /// reported as [`Tail::Torn`] ([`Trace::records`] is then a clean
+    /// prefix of the declared `op_count`).
+    ///
+    /// The ops are validated and kept in their canonical encoding, in a
+    /// buffer sized from the op chunks' payload length (never from the
+    /// declared `op_count`, which is outside input).
     ///
     /// # Errors
     ///
@@ -639,12 +763,13 @@ impl Trace {
             return Err(TraceError::Truncated);
         };
         let header = decode_header(header_chunk)?;
-        let mut records = Vec::new();
-        let mut prev_cycle = 0u64;
+        // Canonical varints are minimal, so the stream never outgrows
+        // the payload it was decoded from.
+        let mut ops = OpStream::with_capacity(op_chunks.iter().map(|c| c.len()).sum());
         for chunk in op_chunks {
-            decode_ops(chunk, &header.program, &mut prev_cycle, &mut records)?;
+            decode_ops(chunk, &header.program, &mut ops)?;
         }
-        let decoded = records.len() as u64;
+        let decoded = ops.len;
         if decoded > header.op_count {
             return Err(malformed(format!(
                 "header declares {} ops, stream carries {decoded}",
@@ -666,17 +791,47 @@ impl Trace {
                 init: header.init,
                 expected_checksum: header.expected_checksum,
                 op_count: header.op_count,
-                records,
+                ops,
             },
             tail,
         ))
+    }
+
+    /// The ops, in issue order (a clean prefix of the declared
+    /// `op_count` when the tail was torn), read from the resident
+    /// canonical stream.
+    pub fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        Records {
+            bytes: &self.ops.bytes,
+            pos: 0,
+            cycle: 0,
+        }
+    }
+
+    /// Ops actually held: `op_count` unless the tail was torn.
+    #[must_use]
+    pub fn decoded_ops(&self) -> u64 {
+        self.ops.len
+    }
+
+    /// Heap bytes the resident op stream occupies (its capacity): the
+    /// op chunks' payload length for a decode, the canonical length for
+    /// a recording.
+    #[must_use]
+    pub fn op_stream_bytes(&self) -> usize {
+        self.ops.bytes.capacity()
+    }
+
+    /// Cycle of the last op held, if any.
+    pub(crate) fn last_cycle(&self) -> Option<u64> {
+        (self.ops.len > 0).then_some(self.ops.last_cycle)
     }
 
     /// Whether every declared op survived (always true for
     /// [`Tail::Clean`] decodes).
     #[must_use]
     pub fn complete(&self) -> bool {
-        self.records.len() as u64 == self.op_count
+        self.ops.len == self.op_count
     }
 }
 

@@ -13,6 +13,12 @@
 //!   varint-delta-encoded record chunks, each framed with the length +
 //!   CRC32 discipline the crash journal uses, so a torn tail degrades
 //!   to a clean prefix instead of an error.
+//! - A [`Trace`] keeps its ops resident in that same varint-delta form
+//!   — one canonical stream, about 5 bytes per op instead of a 32-byte
+//!   [`TraceRecord`] each — and [`Trace::records`] reads them back in
+//!   issue order. Decoding validates every op and re-encodes it
+//!   minimally, so the stream is canonical whatever varint padding an
+//!   upload used, and trace equality is record equality.
 //! - [`TraceWorkload`] replays a decoded trace as an ordinary workload:
 //!   the evaluation pipeline cannot tell replay from the original run,
 //!   and the rendered report is byte-identical.

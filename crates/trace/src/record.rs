@@ -18,7 +18,7 @@ use ftspm_sim::{
 use ftspm_workloads::{Checksum, Workload};
 
 use crate::format::{
-    BlockInit, Trace, TraceOp, TraceRecord, MAX_CODE_BYTES, MAX_DATA_BYTES, MAX_OPS,
+    BlockInit, OpStream, Trace, TraceOp, TraceRecord, MAX_CODE_BYTES, MAX_DATA_BYTES, MAX_OPS,
 };
 
 /// Why a workload could not be recorded.
@@ -136,45 +136,44 @@ pub fn record(workload: &mut dyn Workload) -> Result<Trace, RecordError> {
     // in op order; a replay recomputes the same fold from its own
     // loads, so it only matches when replay reproduced the run.
     let mut fold = Checksum::new();
-    let records = tapped
-        .into_iter()
-        .map(|t| {
-            let op = match t.op {
-                CpuOp::Call { block } => TraceOp::Call { block },
-                CpuOp::Ret => TraceOp::Ret,
-                CpuOp::Execute { count } => TraceOp::Execute { count },
-                CpuOp::Read {
-                    block,
-                    offset,
-                    value,
-                } => {
-                    fold.push(value);
-                    TraceOp::Read { block, offset }
-                }
-                CpuOp::Write {
-                    block,
-                    offset,
-                    value,
-                } => TraceOp::Write {
-                    block,
-                    offset,
-                    value,
-                },
-                CpuOp::StackRead { offset, value } => {
-                    fold.push(value);
-                    TraceOp::StackRead { offset }
-                }
-                CpuOp::StackWrite { offset, value } => TraceOp::StackWrite { offset, value },
-            };
-            TraceRecord { cycle: t.cycle, op }
-        })
-        .collect::<Vec<_>>();
+    let mut ops = OpStream::default();
+    for t in tapped {
+        let op = match t.op {
+            CpuOp::Call { block } => TraceOp::Call { block },
+            CpuOp::Ret => TraceOp::Ret,
+            CpuOp::Execute { count } => TraceOp::Execute { count },
+            CpuOp::Read {
+                block,
+                offset,
+                value,
+            } => {
+                fold.push(value);
+                TraceOp::Read { block, offset }
+            }
+            CpuOp::Write {
+                block,
+                offset,
+                value,
+            } => TraceOp::Write {
+                block,
+                offset,
+                value,
+            },
+            CpuOp::StackRead { offset, value } => {
+                fold.push(value);
+                TraceOp::StackRead { offset }
+            }
+            CpuOp::StackWrite { offset, value } => TraceOp::StackWrite { offset, value },
+        };
+        ops.push(&TraceRecord { cycle: t.cycle, op });
+    }
+    ops.shrink_to_fit();
     Ok(Trace {
         name: workload.name().to_string(),
         program,
         init,
         expected_checksum: fold.value(),
-        op_count: records.len() as u64,
-        records,
+        op_count: ops.len(),
+        ops,
     })
 }

@@ -69,7 +69,7 @@ impl Workload for TraceWorkload {
 
     fn run(&mut self, cpu: &mut Cpu<'_, '_>) -> Result<u64, SimError> {
         let mut fold = Checksum::new();
-        for rec in &self.trace.records {
+        for rec in self.trace.records() {
             match rec.op {
                 TraceOp::Call { block } => cpu.call(block)?,
                 TraceOp::Ret => cpu.ret()?,

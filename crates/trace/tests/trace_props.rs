@@ -5,6 +5,7 @@
 //! replaying it. Failures shrink and persist their seeds next to this
 //! file.
 
+use ftspm_harness::journal::{deframe, Framer};
 use ftspm_testkit::prop::{any_int, check, int_range, vec_of, Config};
 use ftspm_trace::{record, Tail, Trace, TraceError};
 use ftspm_workloads::{Synthetic, SyntheticConfig};
@@ -64,7 +65,7 @@ fn decoder_never_panics_on_junk() {
             if let Ok((trace, _tail)) = Trace::decode(bytes) {
                 let reencoded = trace.encode();
                 let (again, _) = Trace::decode(&reencoded).expect("re-encode decodes");
-                assert_eq!(again.records, trace.records);
+                assert!(again.records().eq(trace.records()));
             }
         },
     );
@@ -88,9 +89,10 @@ fn truncations_yield_a_clean_prefix_or_truncated() {
                 assert_eq!(prefix.program, trace.program);
                 assert_eq!(prefix.init, trace.init);
                 assert_eq!(prefix.op_count, trace.op_count);
+                let (prefix_ops, ops): (Vec<_>, Vec<_>) =
+                    (prefix.records().collect(), trace.records().collect());
                 assert!(
-                    prefix.records.len() <= trace.records.len()
-                        && prefix.records == trace.records[..prefix.records.len()],
+                    prefix_ops.len() <= ops.len() && prefix_ops == ops[..prefix_ops.len()],
                     "decoded ops must be a prefix of the originals"
                 );
                 if cut == full.len() {
@@ -117,9 +119,10 @@ fn bit_flips_never_fabricate_ops() {
         match Trace::decode(&bytes) {
             Err(_) => {}
             Ok((decoded, _)) => {
+                let (decoded_ops, ops): (Vec<_>, Vec<_>) =
+                    (decoded.records().collect(), trace.records().collect());
                 assert!(
-                    decoded.records.len() <= trace.records.len()
-                        && decoded.records == trace.records[..decoded.records.len()],
+                    decoded_ops.len() <= ops.len() && decoded_ops == ops[..decoded_ops.len()],
                     "a bit flip must not fabricate or reorder ops"
                 );
             }
@@ -157,6 +160,123 @@ fn cut_mid_chunk_header_is_a_torn_tail() {
         let (prefix, tail) = Trace::decode(&full[..cut]).expect("mid-frame cut is torn, not bad");
         assert_eq!(tail, Tail::Torn);
         assert_eq!(prefix.program, trace.program);
-        assert!(prefix.records.is_empty());
+        assert!(prefix.records().next().is_none());
+    }
+}
+
+/// Re-frames `full` with some of its op varints padded: the varint's
+/// last byte gains a continuation bit and a `0x00` follows, so it reads
+/// the same value one byte longer (a zero delta becomes `0x80 0x00`).
+/// Which varints pad follows `seed`.
+fn pad_varints(full: &[u8], seed: u64) -> Vec<u8> {
+    let header = &full[..10];
+    let (chunks, _) = deframe(header, full).expect("own encoding deframes");
+    let mut out = Framer::new(header, full.len() * 2);
+    out.push(chunks[0]);
+    let mut bits = seed | 1;
+    for chunk in &chunks[1..] {
+        let mut padded = Vec::with_capacity(chunk.len() * 2);
+        let mut pos = 0;
+        while pos < chunk.len() {
+            let tag = chunk[pos];
+            padded.push(tag);
+            pos += 1;
+            // Cycle delta plus the tag's operands.
+            let varints = match tag {
+                1 => 1,
+                0 | 2 | 5 => 2,
+                3 | 6 => 3,
+                4 => 4,
+                other => panic!("unknown tag {other} in an encoded trace"),
+            };
+            for _ in 0..varints {
+                let start = pos;
+                while chunk[pos] & 0x80 != 0 {
+                    pos += 1;
+                }
+                pos += 1;
+                padded.extend_from_slice(&chunk[start..pos]);
+                bits ^= bits << 13;
+                bits ^= bits >> 7;
+                bits ^= bits << 17;
+                if bits & 1 == 1 && pos - start < 10 {
+                    *padded.last_mut().expect("just extended") |= 0x80;
+                    padded.push(0);
+                }
+            }
+        }
+        out.push(&padded);
+    }
+    out.finish()
+}
+
+/// An upload whose varints are padded decodes to the canonical trace:
+/// equal to the original, and re-encoding yields the canonical bytes.
+#[test]
+fn padded_varints_decode_to_the_canonical_trace() {
+    check(
+        &Config::with_cases(32).persisting(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/trace_props.regressions"
+        )),
+        &(int_range(0u32..101), int_range(1u32..300), any_int::<u64>()),
+        |&(wf, accesses, seed)| {
+            let trace = sample_trace(wf, accesses, 64, seed as u32);
+            let full = trace.encode();
+            let padded = pad_varints(&full, seed);
+            assert!(padded.len() > full.len(), "some varint was padded");
+            let (decoded, tail) = Trace::decode(&padded).expect("padded varints decode");
+            assert_eq!(tail, Tail::Clean);
+            assert_eq!(decoded, trace);
+            assert_eq!(decoded.encode(), full);
+        },
+    );
+}
+
+/// A torn decode of a multi-chunk trace — cut on a chunk boundary,
+/// which the framing alone reads as clean, or inside a chunk — holds a
+/// prefix of the original ops, and `complete()` compares the decoded
+/// count against the declared `op_count`.
+#[test]
+fn torn_decodes_hold_a_counted_prefix() {
+    let trace = sample_trace(30, 20_000, 64, 0x70A4);
+    let full = trace.encode();
+    let ops: Vec<_> = trace.records().collect();
+    // Frame start offsets of the op chunks.
+    let mut starts = Vec::new();
+    let mut at = 10 + 8 + u32::from_le_bytes(full[10..14].try_into().unwrap()) as usize;
+    while at < full.len() {
+        starts.push(at);
+        at += 8 + u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+    }
+    assert!(starts.len() >= 3, "the trace spans several op chunks");
+    check(&cfg(), &any_int::<u64>(), |&cut_seed| {
+        let chunk = (cut_seed % starts.len() as u64) as usize;
+        let frame_end = starts.get(chunk + 1).copied().unwrap_or(full.len());
+        let cut = starts[chunk] + (cut_seed >> 32) as usize % (frame_end - starts[chunk]);
+        let (prefix, tail) = Trace::decode(&full[..cut]).expect("a cut after the header is torn");
+        assert_eq!(tail, Tail::Torn);
+        assert_eq!(prefix.op_count, trace.op_count);
+        assert!(!prefix.complete());
+        assert!(prefix.decoded_ops() < prefix.op_count);
+        let prefix_ops: Vec<_> = prefix.records().collect();
+        assert_eq!(prefix_ops.len() as u64, prefix.decoded_ops());
+        assert_eq!(prefix_ops, ops[..prefix_ops.len()]);
+    });
+}
+
+/// The footprint pin: a recorded kernel's resident op stream is no
+/// larger than its encoded upload, before and after a round trip, and
+/// it reads back every declared op.
+#[test]
+fn resident_op_stream_is_no_larger_than_the_upload() {
+    let entry = ftspm_workloads::find("bitcount").expect("bitcount is registered");
+    let trace = record(entry.build(None).as_mut()).expect("bitcount records");
+    let bytes = trace.encode();
+    let (decoded, tail) = Trace::decode(&bytes).expect("round trip decodes");
+    assert_eq!(tail, Tail::Clean);
+    for t in [&trace, &decoded] {
+        assert!(t.op_stream_bytes() <= bytes.len());
+        assert_eq!(t.records().count() as u64, t.op_count);
     }
 }
