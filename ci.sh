@@ -96,9 +96,18 @@ done
 # many chunks), so it walks the resident op stream across chunk seams.
 TRACE_DIR="$(mktemp -d)"
 for kernel in bitcount patricia; do
-    "$PWD/target/release/repro" trace record "$kernel" --out "$TRACE_DIR/$kernel.trc" > /dev/null
+    "$PWD/target/release/repro" trace record "$kernel" --out "$TRACE_DIR/$kernel.trc" > "$TRACE_DIR/$kernel.out"
     "$PWD/target/release/repro" trace diff "$TRACE_DIR/$kernel.trc" > /dev/null
 done
+# Encode and decode share one frame codec, so a wrong but
+# self-consistent CRC would keep every round trip green. Pin the
+# recorded bytes from outside the codec: the trace id (an FNV-1a digest
+# of the encoded trace), its length and op count.
+grep -qF "73742 ops, 403919 bytes, trace id ef46621ac002a7f96fc423202d8c0ea2" \
+    "$TRACE_DIR/bitcount.out" || {
+    echo "ci.sh: bitcount trace bytes changed: $(cat "$TRACE_DIR/bitcount.out")" >&2
+    exit 1
+}
 rm -rf "$TRACE_DIR"
 
 REPRO="$PWD/target/release/repro"

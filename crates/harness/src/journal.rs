@@ -51,16 +51,61 @@ pub const MAGIC: [u8; 8] = *b"FTSPMJNL";
 /// Current framing version.
 pub const VERSION: u32 = 1;
 
-/// IEEE CRC-32 (the zlib/PNG polynomial, reflected), bitwise — the
-/// table-free form keeps the codec dependency-free.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The IEEE CRC-32 polynomial (zlib/PNG), reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through it, and `CRC_TABLES[k][b]` is that
+/// followed by `k` zero bytes. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// IEEE CRC-32 (init and final XOR `0xFFFF_FFFF`) by slicing-by-8:
+/// eight table lookups per 8-byte word, then one per remaining byte.
+/// The codec's only CRC; the bitwise form it must equal is the test
+/// oracle below.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFF_u32;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let v = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ u64::from(crc);
+        crc = t[7][usize::from(v as u8)]
+            ^ t[6][usize::from((v >> 8) as u8)]
+            ^ t[5][usize::from((v >> 16) as u8)]
+            ^ t[4][usize::from((v >> 24) as u8)]
+            ^ t[3][usize::from((v >> 32) as u8)]
+            ^ t[2][usize::from((v >> 40) as u8)]
+            ^ t[1][usize::from((v >> 48) as u8)]
+            ^ t[0][usize::from((v >> 56) as u8)];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -378,5 +423,72 @@ impl Journal {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftspm_testkit::prop::{any_int, check, vec_exact, Config};
+    use ftspm_testkit::rng::Rng;
+
+    /// The bitwise definition: eight shift/xor rounds per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFF_u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Every length across the seam between 8-byte words and the
+    /// byte-wise remainder, at every alignment of the slice start.
+    #[test]
+    fn crc32_matches_the_bitwise_oracle() {
+        check(
+            &Config::default(),
+            &vec_exact(any_int::<u8>(), 8 + 17),
+            |buf: &Vec<u8>| {
+                for start in 0..8 {
+                    for len in 0..=17 {
+                        let slice = &buf[start..start + len];
+                        assert_eq!(
+                            crc32(slice),
+                            crc32_bitwise(slice),
+                            "start {start} len {len}"
+                        );
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_on_a_mebibyte() {
+        let mut buf = vec![0u8; 1 << 20];
+        Rng::seed_from_u64(0x0C3C_3232).fill(&mut buf);
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        assert_eq!(crc32(&buf[3..]), crc32_bitwise(&buf[3..]));
+    }
+
+    /// The frame layout: `len | crc | payload` after the header, with
+    /// the CRC little-endian.
+    #[test]
+    fn encode_frames_the_check_value_little_endian() {
+        let bytes = encode(&[b"123456789".to_vec()]);
+        assert_eq!(bytes[..12], header());
+        assert_eq!(bytes[12..16], 9u32.to_le_bytes());
+        assert_eq!(bytes[16..20], [0x26, 0x39, 0xf4, 0xcb]);
+        assert_eq!(&bytes[20..], b"123456789");
     }
 }
